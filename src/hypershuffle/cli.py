@@ -50,14 +50,25 @@ from .validation import stub_pushforward_weights, uniformity_test
 DEFAULT_SEED_ENV = "HYPERSHUFFLE_SEED"
 
 
-def _default_seed() -> int:
+def _default_seed(parser: argparse.ArgumentParser) -> int:
     raw = os.environ.get(DEFAULT_SEED_ENV)
     if raw is None:
         return 0
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"{DEFAULT_SEED_ENV} must be an integer, got {raw!r}")
+        parser.error(f"{DEFAULT_SEED_ENV} must be an integer, got {raw!r}")
+
+
+def _count(text: str) -> int:
+    """argparse type for step and sample counts: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _spec(args, labeling=None) -> SpaceSpec:
@@ -228,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="run shuffle chains")
     common(p_sample)
-    p_sample.add_argument("--steps", type=int, default=1000)
-    p_sample.add_argument("--samples", type=int, default=1)
+    p_sample.add_argument("--steps", type=_count, default=1000)
+    p_sample.add_argument("--samples", type=_count, default=1)
     p_sample.add_argument("--seed", type=int, default=None)
     p_sample.add_argument("--report", default=None,
                           help="write a JSON uniformity report here")
@@ -267,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
+        args.seed = _default_seed(parser)
     try:
         return args.func(args)
     except (ChainConfigError, EnumerationLimitError, HypergraphError,

@@ -13,7 +13,12 @@ serialize∘parse is a fixed point on canonical forms.
 
 from __future__ import annotations
 
+import re
+
 from .hypergraph import DirectedHypergraph, canonicalize, hypergraph
+
+
+_TOKEN = re.compile(r"\S+")
 
 
 class DhgParseError(ValueError):
@@ -31,10 +36,12 @@ def parse_dhg(text: str) -> DirectedHypergraph:
     saw_arc = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        # Tokens with their 1-based columns in the raw line.
+        code = raw.split("#", 1)[0]
+        spans = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(code)]
+        if not spans:
             continue
-        tokens = line.split()
+        tokens = [tok for tok, _ in spans]
         keyword = tokens[0]
         if keyword == "vertices":
             if saw_arc:
@@ -46,18 +53,16 @@ def parse_dhg(text: str) -> DirectedHypergraph:
                 labels.append(name)
         elif keyword == "arc":
             saw_arc = True
-            body = tokens[1:]
-            if "->" not in body:
+            if "->" not in tokens[1:]:
                 raise DhgParseError("arc line is missing '->'", lineno)
-            split = body.index("->")
-            tail_toks, head_toks = body[:split], body[split + 1 :]
+            arrow = tokens.index("->")
+            tail_toks, head_toks = tokens[1:arrow], tokens[arrow + 1 :]
             if not tail_toks or not head_toks:
                 raise DhgParseError("arc must have a nonempty tail and head", lineno)
-            for tok in tail_toks + head_toks:
+            for tok, col in spans[1:arrow] + spans[arrow + 1 :]:
                 if tok == "->":
                     raise DhgParseError("arc line has more than one '->'", lineno)
                 if tok not in index:
-                    col = raw.index(tok) + 1
                     raise DhgParseError(f"unknown vertex {tok!r}", lineno, col)
             arcs.append(
                 ([index[t] for t in tail_toks], [index[t] for t in head_toks])

@@ -214,11 +214,3 @@ def count_stub_realizations(H: DirectedHypergraph) -> int:
         total //= factorial(mult)
     return total
 
-
-def vertex_classes_with_counts(
-    d: DegreeSequence, spec: SpaceSpec, limit: int = VERTEX_STUB_LIMIT
-) -> list[tuple[DirectedHypergraph, int]]:
-    """Each vertex-labeled class with its stub realization count."""
-    return [
-        (H, count_stub_realizations(H)) for H in enumerate_vertex_space(d, spec, limit)
-    ]

@@ -25,10 +25,6 @@ def multiset(items: Iterable[int]) -> Multiset:
     return tuple(sorted(items))
 
 
-def multiplicity(ms: Multiset, v: int) -> int:
-    return ms.count(v)
-
-
 def arc(tail: Iterable[int], head: Iterable[int]) -> Hyperarc:
     return (multiset(tail), multiset(head))
 
@@ -100,6 +96,8 @@ class DegreeSequence:
     arc_degrees: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if any(d_in < 0 or d_out < 0 for d_in, d_out in self.vertex_degrees):
+            raise HypergraphError("in- and out-degrees must be nonnegative")
         out_total = sum(d_out for _, d_out in self.vertex_degrees)
         in_total = sum(d_in for d_in, _ in self.vertex_degrees)
         if out_total != sum(t for t, _ in self.arc_degrees):
@@ -215,7 +213,7 @@ def is_degenerate(a: Hyperarc) -> bool:
 
 
 def _has_repeat(ms: Multiset) -> bool:
-    return any(ms[k] == ms[k + 1] for k in range(len(ms) - 1))
+    return len(set(ms)) < len(ms)
 
 
 @dataclass(frozen=True)
@@ -279,11 +277,15 @@ def canonical_form(H: DirectedHypergraph) -> bytes:
     Two hypergraphs get equal canonical forms iff their arc multisets are
     equal under the fixed vertex labels.  No vertex permutation is applied.
     """
-    arcs = sorted(H.arcs)
+    return _canonical_bytes(H.n_vertices, H.arcs)
+
+
+def _canonical_bytes(n_vertices: int, arcs: Iterable[Hyperarc]) -> bytes:
+    """:func:`canonical_form` of normalized arcs, without a hypergraph."""
     body = ";".join(
-        ",".join(map(str, t)) + ">" + ",".join(map(str, h)) for t, h in arcs
+        ",".join(map(str, t)) + ">" + ",".join(map(str, h)) for t, h in sorted(arcs)
     )
-    return f"{H.n_vertices}|{body}".encode("ascii")
+    return f"{n_vertices}|{body}".encode("ascii")
 
 
 def canonicalize(H: DirectedHypergraph) -> DirectedHypergraph:

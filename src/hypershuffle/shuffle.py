@@ -13,24 +13,50 @@ undone: the chain stays put, and the rejection still counts as a step.
 In vertex-labeled mode each proposal is additionally thinned by an
 acceptance probability before the feature check (see
 :func:`acceptance_probability`).
+
+Draw order (fixed; fixed-seed traces depend on it): each step draws the arc
+pair (two ``randrange`` calls), then the tail split, then the head split
+(one ``randrange`` over the subset table each, or ``rng.sample`` for pools
+with more than ``_COMBO_LIMIT`` splits), and in vertex-labeled mode one
+``rng.random()`` for the thinning, whether or not the proposal then breaks
+a feature rule.
+
+Chain state.  :func:`run_chain` does not build a :class:`DirectedHypergraph`
+per step.  It keeps a private list of arcs, positional like
+``DirectedHypergraph.arcs``, plus a ``Counter`` of arc multiplicities, and
+updates both in place on acceptance.  The multi-arc check and the pair
+multiplicities in alpha are then ``Counter`` lookups, so a step costs
+O(arc size) rather than O(number of arcs).  The list is frozen into a
+hypergraph once, at the end, through the validating constructor.  The
+single-step functions (:func:`propose`, :func:`apply_shuffle`,
+:func:`acceptance_probability`, :func:`step`) share the same private
+helpers and look multiplicities up with ``tuple.count`` on the frozen arcs,
+which is cheaper than building a ``Counter`` for one call.
+
+Exact alpha.  The acceptance probability is a ratio ``num/den`` of integers
+(:func:`_alpha_terms`).  ``random.Random.random()`` returns ``k / 2**53``
+for an integer ``k``, so the chain accepts iff ``k * den < num * 2**53``.
+That is exactly the decision ``u < Fraction(num, den)`` with no float
+rounding, and without building a ``Fraction`` per step.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .hypergraph import (
     DirectedHypergraph,
     Hyperarc,
     Multiset,
     SpaceSpec,
-    canonical_form,
+    _canonical_bytes,
     degree_sequence,
     in_space,
     is_degenerate,
@@ -57,36 +83,61 @@ class ShuffleProposal(NamedTuple):
     new_head_j: Multiset
 
 
-# Subsets of range(n) of size k, enumerated once; drawing an index from this
-# table is both faster and easier to reason about than random.sample for the
-# small pools a shuffle sees.  Larger pools fall back to rng.sample.
+# Splits of range(n) into a size-k part and its complement, enumerated once;
+# drawing an index from this table is both faster and easier to reason about
+# than random.sample for the small pools a shuffle sees.  Larger pools fall
+# back to rng.sample.
 _COMBO_LIMIT = 4096
+
+# random.Random.random() returns k / 2**53 for an integer k.
+_RANDOM_BITS = 53
 
 
 @lru_cache(maxsize=None)
-def _subsets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(combinations(range(n), k))
+def _split_table(n: int, k: int):
+    """All ``(part, complement)`` index pairs, or None past ``_COMBO_LIMIT``."""
+    if comb(n, k) > _COMBO_LIMIT:
+        return None
+    table = []
+    for picked in combinations(range(n), k):
+        chosen = set(picked)
+        table.append((picked, tuple(t for t in range(n) if t not in chosen)))
+    return tuple(table)
 
 
-def _draw_split(pool: tuple[int, ...], k: int, rng: random.Random):
+def _draw_split(pool: list[int], k: int, rng: random.Random):
     """Split pool into a uniformly random size-k part and its complement.
 
     The pool is sorted, and a subset of a sorted sequence taken in index
     order is sorted too, so both parts come back as valid multisets.
     """
     n = len(pool)
-    if comb(n, k) <= _COMBO_LIMIT:
-        picked = _subsets(n, k)[rng.randrange(comb(n, k))]
+    table = _split_table(n, k)
+    if table is not None:
+        picked, rest = table[rng.randrange(len(table))]
     else:
-        picked = tuple(sorted(rng.sample(range(n), k)))
-    chosen = set(picked)
-    first = tuple(pool[t] for t in picked)
-    second = tuple(pool[t] for t in range(n) if t not in chosen)
-    return first, second
+        picked = sorted(rng.sample(range(n), k))
+        chosen = set(picked)
+        rest = [t for t in range(n) if t not in chosen]
+    return tuple([pool[t] for t in picked]), tuple([pool[t] for t in rest])
 
 
-def _merge(a: Multiset, b: Multiset) -> tuple[int, ...]:
-    return tuple(sorted(a + b))
+def _draw_proposal(arcs, rng: random.Random) -> ShuffleProposal:
+    """Arc pair, then tail split, then head split; ``len(arcs) >= 2``.
+
+    Tail and head sizes stay attached to their original arc slots.
+    """
+    m = len(arcs)
+    i = rng.randrange(m)
+    j = rng.randrange(m - 1)
+    if j >= i:
+        j += 1
+    if i > j:
+        i, j = j, i
+    (tail_i, head_i), (tail_j, head_j) = arcs[i], arcs[j]
+    new_tail_i, new_tail_j = _draw_split(sorted(tail_i + tail_j), len(tail_i), rng)
+    new_head_i, new_head_j = _draw_split(sorted(head_i + head_j), len(head_i), rng)
+    return ShuffleProposal(i, j, new_tail_i, new_head_i, new_tail_j, new_head_j)
 
 
 def propose(H: DirectedHypergraph, rng: random.Random) -> ShuffleProposal:
@@ -95,19 +146,9 @@ def propose(H: DirectedHypergraph, rng: random.Random) -> ShuffleProposal:
     Draw order (fixed for reproducibility): arc pair, tail split, head
     split.  Tail and head sizes stay attached to their original arc slots.
     """
-    m = H.n_arcs
-    if m < 2:
+    if H.n_arcs < 2:
         raise ProposalError("need at least two hyperarcs to shuffle")
-    i = rng.randrange(m)
-    j = rng.randrange(m - 1)
-    if j >= i:
-        j += 1
-    if i > j:
-        i, j = j, i
-    (tail_i, head_i), (tail_j, head_j) = H.arcs[i], H.arcs[j]
-    new_tail_i, new_tail_j = _draw_split(_merge(tail_i, tail_j), len(tail_i), rng)
-    new_head_i, new_head_j = _draw_split(_merge(head_i, head_j), len(head_i), rng)
-    return ShuffleProposal(i, j, new_tail_i, new_head_i, new_tail_j, new_head_j)
+    return _draw_proposal(H.arcs, rng)
 
 
 def proposal_probability(H: DirectedHypergraph, p: ShuffleProposal) -> Fraction:
@@ -122,6 +163,38 @@ def proposed_arcs(p: ShuffleProposal) -> tuple[Hyperarc, Hyperarc]:
     return (p.new_tail_i, p.new_head_i), (p.new_tail_j, p.new_head_j)
 
 
+def _admissible(
+    a: Hyperarc,
+    b: Hyperarc,
+    arc_a: Hyperarc,
+    arc_b: Hyperarc,
+    spec: SpaceSpec,
+    count: Callable[[Hyperarc], int],
+) -> bool:
+    """Whether replacing arcs ``a, b`` by ``arc_a, arc_b`` stays in the space.
+
+    Only the two new arcs can introduce a forbidden feature.  ``count(x)``
+    is the multiplicity of ``x`` among all arcs before the move, ``a`` and
+    ``b`` included.
+    """
+    if not spec.allow_self_loops:
+        overlap = spec.overlap_self_loops
+        if is_self_loop(arc_a, overlap) or is_self_loop(arc_b, overlap):
+            return False
+    if not spec.allow_degenerate:
+        if is_degenerate(arc_a) or is_degenerate(arc_b):
+            return False
+    if not spec.allow_multi:
+        if arc_a == arc_b:
+            return False
+        # Copies of a new arc left among the m - 2 arcs that stay.
+        if count(arc_a) > (arc_a == a) + (arc_a == b):
+            return False
+        if count(arc_b) > (arc_b == a) + (arc_b == b):
+            return False
+    return True
+
+
 def apply_shuffle(
     H: DirectedHypergraph, p: ShuffleProposal, spec: SpaceSpec
 ) -> tuple[DirectedHypergraph, bool]:
@@ -132,39 +205,13 @@ def apply_shuffle(
     way, by construction.
     """
     arc_a, arc_b = proposed_arcs(p)
-    if _violates_features(H.arcs, p.arc_i, p.arc_j, arc_a, arc_b, spec):
+    a, b = H.arcs[p.arc_i], H.arcs[p.arc_j]
+    if not _admissible(a, b, arc_a, arc_b, spec, H.arcs.count):
         return H, False
     new_arcs = list(H.arcs)
     new_arcs[p.arc_i] = arc_a
     new_arcs[p.arc_j] = arc_b
     return H.replace_arcs(new_arcs), True
-
-
-def _violates_features(
-    arcs: tuple[Hyperarc, ...],
-    i: int,
-    j: int,
-    arc_a: Hyperarc,
-    arc_b: Hyperarc,
-    spec: SpaceSpec,
-) -> bool:
-    # Only the two replaced arcs can introduce a forbidden feature.
-    if not spec.allow_self_loops:
-        overlap = spec.overlap_self_loops
-        if is_self_loop(arc_a, overlap) or is_self_loop(arc_b, overlap):
-            return True
-    if not spec.allow_degenerate:
-        if is_degenerate(arc_a) or is_degenerate(arc_b):
-            return True
-    if not spec.allow_multi:
-        if arc_a == arc_b:
-            return True
-        for k, other in enumerate(arcs):
-            if k == i or k == j:
-                continue
-            if other == arc_a or other == arc_b:
-                return True
-    return False
 
 
 def acceptance_probability(H: DirectedHypergraph, p: ShuffleProposal) -> Fraction:
@@ -189,34 +236,42 @@ def acceptance_probability(H: DirectedHypergraph, p: ShuffleProposal) -> Fractio
     arcs, changes the outcome count: ``m_a * m_b`` pair choices become
     ``C(m_a, 2)``, and equal-size repartitions collapse in pairs.
     """
-    a, b = H.arcs[p.arc_i], H.arcs[p.arc_j]
     arc_a, arc_b = proposed_arcs(p)
+    a, b = H.arcs[p.arc_i], H.arcs[p.arc_j]
+    return Fraction(*_alpha_terms(a, b, arc_a, arc_b, H.arcs.count))
 
+
+def _alpha_terms(
+    a: Hyperarc,
+    b: Hyperarc,
+    arc_a: Hyperarc,
+    arc_b: Hyperarc,
+    count: Callable[[Hyperarc], int],
+) -> tuple[int, int]:
+    """Alpha as ``(num, den)``; ``count`` as in :func:`_admissible`."""
     weight = _split_weight(arc_a[0], arc_b[0]) * _split_weight(arc_a[1], arc_b[1])
-
     if a == b:
-        m_a = H.arcs.count(a)
-        pair_count = comb(m_a, 2)
+        pair_count = comb(count(a), 2)
     else:
-        pair_count = H.arcs.count(a) * H.arcs.count(b)
-
+        pair_count = count(a) * count(b)
     sizes_equal = len(a[0]) == len(b[0]) and len(a[1]) == len(b[1])
     swap_forms = 2 if sizes_equal and arc_a != arc_b else 1
     coalesce = 2 if sizes_equal else 1
-    return Fraction(coalesce, pair_count * swap_forms * weight)
+    return coalesce, pair_count * swap_forms * weight
+
+
+def _alpha_rejects(u: float, num: int, den: int) -> bool:
+    """``u >= num/den`` for ``u = rng.random()``, decided in integers."""
+    return int(u * (1 << _RANDOM_BITS)) * den >= num << _RANDOM_BITS
 
 
 def _split_weight(part_a: Multiset, part_b: Multiset) -> int:
     """Number of stub-level splits of the pooled tokens realizing this split."""
-    counts_a: dict[int, int] = {}
-    for v in part_a:
-        counts_a[v] = counts_a.get(v, 0) + 1
-    counts_b: dict[int, int] = {}
-    for v in part_b:
-        counts_b[v] = counts_b.get(v, 0) + 1
     w = 1
-    for v, ca in counts_a.items():
-        w *= comb(ca + counts_b.get(v, 0), ca)
+    for v in set(part_a):
+        if v in part_b:
+            ca = part_a.count(v)
+            w *= comb(ca + part_b.count(v), ca)
     return w
 
 
@@ -232,8 +287,9 @@ def step(
     """
     p = propose(H, rng)
     if spec.labeling == "vertex":
-        alpha = acceptance_probability(H, p)
-        if rng.random() >= alpha:
+        u = rng.random()
+        a, b = H.arcs[p.arc_i], H.arcs[p.arc_j]
+        if _alpha_rejects(u, *_alpha_terms(a, b, *proposed_arcs(p), H.arcs.count)):
             return H
     H2, _ = apply_shuffle(H, p, spec)
     return H2
@@ -263,22 +319,48 @@ def run_chain(H0: DirectedHypergraph, config: ChainConfig) -> ChainResult:
     """Run the shuffle chain for ``config.steps`` steps from ``H0``.
 
     The start state must lie in the configured space; every intermediate
-    state then does too, and the degree sequence never changes.
+    state then does too, and the degree sequence never changes.  The walk
+    is the one :func:`step` takes from ``random.Random(config.seed)``, run
+    on the private arc list and ``Counter`` described in the module notes.
     """
-    if not in_space(H0, config.spec, degree_sequence(H0)):
+    spec = config.spec
+    if not in_space(H0, spec, degree_sequence(H0)):
         raise ChainConfigError("start state is outside the configured space")
     rng = random.Random(config.seed)
-    H = H0
+    vertex = spec.labeling == "vertex"
+    n = H0.n_vertices
+    arcs = list(H0.arcs)
+    counts = Counter(arcs)
+    count = counts.__getitem__  # 0 for arcs not present
     trace: list[bytes] | None = [] if config.record_trace else None
     if trace is not None:
-        trace.append(canonical_form(H))
-    single_arc = H.n_arcs < 2
+        trace.append(_canonical_bytes(n, arcs))
+    movable = len(arcs) >= 2
     for _ in range(config.steps):
-        if not single_arc:
-            H = step(H, config.spec, rng)
+        if movable:
+            i, j, tail_i, head_i, tail_j, head_j = _draw_proposal(arcs, rng)
+            a, b = arcs[i], arcs[j]
+            arc_a, arc_b = (tail_i, head_i), (tail_j, head_j)
+            # Drawn before the feature check, so a vertex-mode step consumes
+            # it whether or not the proposal is admissible, as in step().
+            u = rng.random() if vertex else 0.0
+            if _admissible(a, b, arc_a, arc_b, spec, count) and not (
+                vertex and _alpha_rejects(u, *_alpha_terms(a, b, arc_a, arc_b, count))
+            ):
+                arcs[i] = arc_a
+                arcs[j] = arc_b
+                counts[arc_a] += 1
+                counts[arc_b] += 1
+                for old in (a, b):
+                    left = counts[old] - 1
+                    if left:
+                        counts[old] = left
+                    else:
+                        del counts[old]
         if trace is not None:
-            trace.append(canonical_form(H))
-    return ChainResult(final=H, trace=tuple(trace) if trace is not None else None)
+            trace.append(_canonical_bytes(n, arcs))
+    final = H0.replace_arcs(arcs)
+    return ChainResult(final=final, trace=tuple(trace) if trace is not None else None)
 
 
 def spawn_seed(seed: int, index: int) -> int:

@@ -135,6 +135,26 @@ def test_unknown_target_exit_code():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--steps", "--samples"])
+def test_negative_count_is_a_usage_error(fig_file, capsys, flag):
+    with pytest.raises(SystemExit) as err:
+        run_cli("sample", "--input", fig_file, flag, "-1")
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: hypershuffle sample")
+    assert f"argument {flag}: must be nonnegative, got -1" in stderr
+
+
+def test_non_integer_env_seed_is_a_usage_error(fig_file, capsys, monkeypatch):
+    monkeypatch.setenv("HYPERSHUFFLE_SEED", "seven")
+    with pytest.raises(SystemExit) as err:
+        run_cli("sample", "--input", fig_file, "--steps", "1")
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: hypershuffle ")
+    assert "HYPERSHUFFLE_SEED must be an integer, got 'seven'" in stderr
+
+
 def test_missing_file_is_reported(capsys):
     assert run_cli("check", "--input", "/nonexistent.dhg", "--space", "sdm") == 1
 

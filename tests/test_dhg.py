@@ -57,6 +57,22 @@ def test_unknown_vertex_has_position():
     assert err.value.column is not None
 
 
+def test_unknown_vertex_column_points_at_the_token():
+    # 'r' also occurs inside the keyword 'arc'; the column must be the
+    # token's own offset, not the first substring match.
+    with pytest.raises(DhgParseError) as err:
+        parse_dhg("vertices a b\narc a -> r\n")
+    assert err.value.line == 2
+    assert err.value.column == 10
+    assert str(err.value) == "unknown vertex 'r' (line 2, column 10)"
+
+
+def test_unknown_vertex_column_counts_leading_whitespace():
+    with pytest.raises(DhgParseError) as err:
+        parse_dhg("vertices a b\n  arc a a -> b a  ab # ab\n")
+    assert err.value.column == 19
+
+
 def test_empty_head_is_an_error():
     with pytest.raises(DhgParseError):
         parse_dhg("vertices u v\narc u ->\n")

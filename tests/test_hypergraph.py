@@ -55,6 +55,15 @@ class TestDegreeSequence:
         with pytest.raises(HypergraphError):
             DegreeSequence(vertex_degrees=((1, 1),), arc_degrees=((2, 1),))
 
+    def test_negative_degrees_rejected(self):
+        # Stub totals balance (1 out, 1 in), so only the sign check catches it.
+        with pytest.raises(HypergraphError, match="nonnegative"):
+            DegreeSequence(
+                vertex_degrees=((-1, 1), (1, -1), (1, 1)), arc_degrees=((1, 1),)
+            )
+        with pytest.raises(HypergraphError, match="nonnegative"):
+            DegreeSequence(vertex_degrees=((0, -1), (1, 2)), arc_degrees=((1, 1),))
+
     def test_compatibility_ignores_arc_order(self):
         d1 = DegreeSequence(((1, 1), (1, 1)), ((1, 1), (1, 1)))
         d2 = DegreeSequence(((1, 1), (1, 1)), ((1, 1), (1, 1)))

@@ -1,11 +1,13 @@
 """Shuffle kernel: proposals, rejection, acceptance probability, chains."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
 from math import sqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypershuffle import (
     ChainConfig,
@@ -16,6 +18,7 @@ from hypershuffle import (
     acceptance_probability,
     apply_shuffle,
     canonical_form,
+    classify_features,
     degree_sequence,
     hypergraph,
     in_space,
@@ -25,10 +28,12 @@ from hypershuffle import (
     spawn_seed,
     step,
 )
+from hypershuffle.hypergraph import ALL_FEATURE_SETS
 from hypershuffle.shuffle import reverse_proposal
 from conftest import (
     D1_BLOCKED,
     TWO_ARC_DISTINCT,
+    WORKED_EXAMPLE,
     count_stub_outcomes_in_class,
     random_instance,
 )
@@ -325,3 +330,133 @@ def test_alpha_is_one_for_disjoint_simple_results(rng):
             continue
         assert acceptance_probability(H, p) == 1
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# Fixed-seed pins.  Each digest is the SHA-256 of a recorded trace (canonical
+# forms joined by newlines), taken from the reference implementation before
+# the chain runner kept its own incremental state.  Any change to the draw
+# order, the feature checks or the acceptance decision changes a digest.
+
+README_EXAMPLE = hypergraph(3, [((1, 1), (0,)), ((0,), (2,)), ((2,), (0,))])
+
+
+def _forty_arc_instance():
+    """40 arcs on 30 vertices with no self-loop, degenerate arc or multi-arc."""
+    rng = random.Random(4040)
+    arcs, seen = [], set()
+    while len(arcs) < 40:
+        tail = tuple(sorted(rng.sample(range(30), rng.randint(1, 3))))
+        head = tuple(sorted(rng.sample(range(30), rng.randint(1, 3))))
+        if tail == head or (tail, head) in seen:
+            continue
+        seen.add((tail, head))
+        arcs.append((tail, head))
+    return hypergraph(30, arcs)
+
+
+PIN_INSTANCES = {
+    "readme": README_EXAMPLE,
+    "worked": WORKED_EXAMPLE,
+    "forty": _forty_arc_instance(),
+}
+
+# (instance, features, labeling, overlap self-loops, steps, seed, digest)
+TRACE_PINS = [
+    ("readme", "d", "stub", False, 300, 2024,
+     "d666aedd00567b0e47d2e023a3bf1cc09ea088d71e355ab02fd219d4cd5d9e99"),
+    ("readme", "d", "stub", True, 300, 2024,
+     "8d60ef21e03792d534637c8957605ccbc05f26bb194510f55e54276185637c12"),
+    ("readme", "d", "vertex", False, 300, 2024,
+     "a9c2aa7abd1608b5ba444e4085b184e3ffd5b4345560dfdb370e389fc7a70ec1"),
+    ("readme", "d", "vertex", True, 300, 2024,
+     "6929176a9276e87090115fa99ad9db5eaaf3a3f033a990a999aeb43910c17160"),
+    ("readme", "sd", "stub", False, 300, 2024,
+     "5049e163882c6db7d24250150b102e82bdc37e639ec1f280eb0ffbb1d4f350e5"),
+    ("readme", "sd", "stub", True, 300, 2024,
+     "5049e163882c6db7d24250150b102e82bdc37e639ec1f280eb0ffbb1d4f350e5"),
+    ("readme", "sd", "vertex", False, 300, 2024,
+     "4795d942a62d8303607911d0ea7e0c30bc9a929d935e0f18a177962e4b511790"),
+    ("readme", "sd", "vertex", True, 300, 2024,
+     "4795d942a62d8303607911d0ea7e0c30bc9a929d935e0f18a177962e4b511790"),
+    ("readme", "dm", "stub", False, 300, 2024,
+     "230d1078b76f418ad2bb8f38fcbec31547e34857bd67978bfdd2f5ecf3e704c2"),
+    ("readme", "dm", "stub", True, 300, 2024,
+     "8d60ef21e03792d534637c8957605ccbc05f26bb194510f55e54276185637c12"),
+    ("readme", "dm", "vertex", False, 300, 2024,
+     "ad86ee107f97fa385e3409232b5fd00cb385d621e2f83fd443e696f276a28fef"),
+    ("readme", "dm", "vertex", True, 300, 2024,
+     "6929176a9276e87090115fa99ad9db5eaaf3a3f033a990a999aeb43910c17160"),
+    ("readme", "sdm", "stub", False, 300, 2024,
+     "b319df72e0a7e957612860adb715236244ac613f92c9b0286e97ca005ec60a1b"),
+    ("readme", "sdm", "stub", True, 300, 2024,
+     "b319df72e0a7e957612860adb715236244ac613f92c9b0286e97ca005ec60a1b"),
+    ("readme", "sdm", "vertex", False, 300, 2024,
+     "14a792c7f26364f80c1978e7ead1535555f08b5d0bef7ec2117b9e2a02a5b15d"),
+    ("readme", "sdm", "vertex", True, 300, 2024,
+     "14a792c7f26364f80c1978e7ead1535555f08b5d0bef7ec2117b9e2a02a5b15d"),
+    ("worked", "sdm", "stub", False, 300, 2025,
+     "362ec7d19ffe1eb2effb6c6625fbe673a5f7794e696235ebc9b826b896a038da"),
+    ("worked", "sdm", "stub", True, 300, 2025,
+     "362ec7d19ffe1eb2effb6c6625fbe673a5f7794e696235ebc9b826b896a038da"),
+    ("worked", "sdm", "vertex", False, 300, 2025,
+     "e7872fcc3ab215c179faa5a99f5d803afb070cc8fc4716ca625b4f7108b5b0f2"),
+    ("worked", "sdm", "vertex", True, 300, 2025,
+     "e7872fcc3ab215c179faa5a99f5d803afb070cc8fc4716ca625b4f7108b5b0f2"),
+    ("forty", "", "stub", False, 400, 2026,
+     "9d2c3cfba694c482e176d31dff27f0a7c273806d89840f887a851a76be6ed92b"),
+    ("forty", "", "vertex", False, 400, 2026,
+     "b025a75797bba532774778a2bd6d541e7d04d27aea44d938bb3f7d41e1fc10a6"),
+    ("forty", "sdm", "stub", False, 400, 2026,
+     "9f34d5235042e5fe39b16dd7322e50f22608bda3beade8b72b91a89120ec3c40"),
+    ("forty", "sdm", "vertex", False, 400, 2026,
+     "09c1c14ede3d703a257df928258445a4a3221b91ed1ae5180778c10fce74e674"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,features,labeling,overlap,steps,seed,digest",
+    TRACE_PINS,
+    ids=[f"{p[0]}-{p[1] or 'none'}-{p[2]}-{'overlap' if p[3] else 'strict'}"
+         for p in TRACE_PINS],
+)
+def test_fixed_seed_trace_pins(name, features, labeling, overlap, steps, seed, digest):
+    spec = SpaceSpec.from_string(features, labeling, overlap)
+    config = ChainConfig(steps=steps, seed=seed, spec=spec, record_trace=True)
+    trace = run_chain(PIN_INSTANCES[name], config).trace
+    assert len(trace) == steps + 1
+    assert hashlib.sha256(b"\n".join(trace)).hexdigest() == digest
+
+
+@st.composite
+def _chain_starts(draw):
+    """A hypergraph with at least two arcs plus a space that contains it."""
+    n = draw(st.integers(2, 5))
+    vertex = st.integers(0, n - 1)
+    side = st.lists(vertex, min_size=1, max_size=3)
+    arcs = draw(st.lists(st.tuples(side, side), min_size=2, max_size=6))
+    H = hypergraph(n, arcs)
+    overlap = draw(st.booleans())
+    report = classify_features(H, overlap)
+    required = (
+        ("s" if report.has_self_loop else "")
+        + ("d" if report.has_degenerate else "")
+        + ("m" if report.has_multi else "")
+    )
+    extra = draw(st.sampled_from(ALL_FEATURE_SETS))
+    features = "".join(f for f in "sdm" if f in required or f in extra)
+    labeling = draw(st.sampled_from(("stub", "vertex")))
+    return H, SpaceSpec.from_string(features, labeling, overlap)
+
+
+@given(_chain_starts(), st.integers(0, 2**32 - 1), st.integers(0, 30))
+@settings(max_examples=200, deadline=None)
+def test_run_chain_equals_iterated_step(start, seed, k):
+    H0, spec = start
+    result = run_chain(H0, ChainConfig(steps=k, seed=seed, spec=spec))
+    rng = random.Random(seed)
+    H = H0
+    for _ in range(k):
+        H = step(H, spec, rng)
+    assert result.final.arcs == H.arcs
+    assert result.final.labels == H0.labels
