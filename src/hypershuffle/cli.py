@@ -17,6 +17,7 @@ import sys
 from collections import Counter
 
 from .chains import (
+    StateSpaceLimitError,
     build_stub_chain,
     build_vertex_chain,
     chain_edge_list,
@@ -61,7 +62,7 @@ def _default_seed(parser: argparse.ArgumentParser) -> int:
 
 
 def _count(text: str) -> int:
-    """argparse type for step and sample counts: a nonnegative integer."""
+    """argparse type for counts and limits: a nonnegative integer."""
     try:
         value = int(text)
     except ValueError:
@@ -69,6 +70,15 @@ def _count(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
+
+
+def _features(text: str) -> str:
+    """argparse type for --space: a subset of 'sdm'."""
+    try:
+        SpaceSpec.from_string(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return text
 
 
 def _spec(args, labeling=None) -> SpaceSpec:
@@ -103,48 +113,44 @@ def cmd_sample(args) -> int:
     _emit("\n".join(docs), args.out)
 
     if args.report:
-        d = degree_sequence(H0)
-        try:
-            if spec.labeling == "stub":
-                keys, weights = stub_pushforward_weights(d, spec)
-            else:
-                keys = [
-                    canonical_form(H) for H in enumerate_vertex_space(d, spec)
-                ]
-                weights = None
-            report = uniformity_test(counts, keys, weights)
-            payload = report.to_json(
-                instance=args.input,
-                spec=spec.feature_string,
-                labeling=spec.labeling,
-                k=args.steps,
-                replicas=args.samples,
-                seed=args.seed,
-            )
-        except EnumerationLimitError:
-            payload = json.dumps(
-                {
-                    "instance": args.input,
-                    "spec": spec.feature_string,
-                    "labeling": spec.labeling,
-                    "k": args.steps,
-                    "replicas": args.samples,
-                    "seed": args.seed,
-                    "verdict": "space too large for the enumeration oracle",
-                },
-                indent=2,
-                sort_keys=True,
-            )
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+            fh.write(_report(args, H0, spec, counts) + "\n")
     return 0
+
+
+def _report(args, H0: DirectedHypergraph, spec: SpaceSpec, counts) -> str:
+    """The JSON uniformity report; its verdict names why a test could not run."""
+    context = {
+        "instance": args.input,
+        "spec": spec.feature_string,
+        "labeling": spec.labeling,
+        "k": args.steps,
+        "replicas": args.samples,
+        "seed": args.seed,
+    }
+    d = degree_sequence(H0)
+    try:
+        if spec.labeling == "stub":
+            keys, weights = stub_pushforward_weights(d, spec)
+        else:
+            keys = [canonical_form(H) for H in enumerate_vertex_space(d, spec)]
+            weights = None
+    except EnumerationLimitError:
+        verdict = "space too large for the enumeration oracle"
+    else:
+        try:
+            return uniformity_test(counts, keys, weights).to_json(**context)
+        except ValueError as exc:  # fewer than two cells to compare
+            verdict = f"no chi-square test: {exc}"
+    return json.dumps({**context, "verdict": verdict}, indent=2, sort_keys=True)
 
 
 def cmd_enumerate(args) -> int:
     H = _load(args.input)
     d = degree_sequence(H)
     spec = _spec(args)
-    states = enumerate_vertex_space(d, spec, limit=args.limit or 16)
+    limit = 16 if args.limit is None else args.limit
+    states = enumerate_vertex_space(d, spec, limit=limit)
     lines = [f"{len(states)}"]
     if args.verbose:
         for H_k in states:
@@ -160,7 +166,7 @@ def cmd_chain_verify(args) -> int:
     H = _load(args.input)
     d = degree_sequence(H)
     spec = _spec(args)
-    limit = args.limit or 5000
+    limit = 5000 if args.limit is None else args.limit
     if spec.labeling == "stub":
         g = build_stub_chain(d, spec, limit=limit)
         symmetric, witness = check_regular(g)
@@ -183,7 +189,7 @@ def cmd_chain_verify(args) -> int:
         with open(args.export_chain, "w", encoding="utf-8") as fh:
             fh.write(chain_edge_list(g))
     if args.export_tv is not None:
-        curve = tv_curve(g, 0, args.steps or 64)
+        curve = tv_curve(g, 0, 64 if args.steps is None else args.steps)
         with open(args.export_tv, "w", encoding="utf-8") as fh:
             fh.write(tv_curve_csv(curve))
     verdict = symmetric and aperiodic and connected and uniform
@@ -229,12 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, labeling_default="stub"):
         p.add_argument("--input", required=True, help=".dhg input file")
-        p.add_argument("--space", default="sdm",
+        p.add_argument("--space", type=_features, default="sdm",
                        help="allowed features, a subset of 'sdm' (default sdm)")
         p.add_argument("--labeling", choices=("stub", "vertex"),
                        default=labeling_default)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--limit", type=int, default=None,
+        p.add_argument("--limit", type=_count, default=None,
                        help="state-space / stub-count cap override")
 
     p_sample = sub.add_parser("sample", help="run shuffle chains")
@@ -254,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chain = sub.add_parser("chain-verify", help="exact chain checks")
     common(p_chain)
-    p_chain.add_argument("--steps", type=int, default=None,
+    p_chain.add_argument("--steps", type=_count, default=None,
                          help="length of the exported TV curve")
     p_chain.add_argument("--export-chain", default=None,
                          help="write the chain edge list here")
@@ -281,8 +287,8 @@ def main(argv: list[str] | None = None) -> int:
         args.seed = _default_seed(parser)
     try:
         return args.func(args)
-    except (ChainConfigError, EnumerationLimitError, HypergraphError,
-            DhgParseError, FileNotFoundError) as exc:
+    except (ChainConfigError, EnumerationLimitError, StateSpaceLimitError,
+            HypergraphError, DhgParseError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

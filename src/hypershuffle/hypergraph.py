@@ -193,9 +193,6 @@ class SpaceSpec:
     def __str__(self) -> str:
         return f"{self.labeling}[{self.feature_string}]"
 
-    def allows_everything(self) -> bool:
-        return self.allow_self_loops and self.allow_degenerate and self.allow_multi
-
 
 ALL_FEATURE_SETS = ("", "s", "d", "m", "sd", "sm", "dm", "sdm")
 

@@ -1,12 +1,28 @@
 """Vectorized replica engine: many independent chains stepped together.
 
-The reference kernel in :mod:`hypershuffle.shuffle` walks one chain at a
-time; mass experiments (10^5 chains of 10^3 steps) need all replicas
-advanced per step with numpy.  States are kept as per-slot vertex count
-matrices, and the uniform stub-level repartition is drawn as a sequence of
-conditional hypergeometric variables per vertex, which reproduces the
-``prod_v C(pool_v, take_v) / C(n, k)`` split distribution of the kernel
-exactly.  Agreement with the exact transition rows is covered by tests.
+Mass experiments (10^5 chains of 10^3 steps) advance all replicas per step
+with numpy, batching pairwise trades as in Carstens et al. (ESA 2018), under
+the shuffle rule of :mod:`hypershuffle.shuffle`.  State is an ``(R, m)``
+int64 array of arc ids, positional like ``DirectedHypergraph.arcs``, into a
+per-run intern table (arc list plus arc-to-id dict), so a step's cost does
+not grow with the vertex count.  Per step every replica draws, in order,
+positions ``i < j`` as ``shuffle._draw_proposal`` does, a tail-split index
+in ``[0, C(t_i + t_j, t_i))``, a head-split index likewise and, in vertex
+mode, the thinning uniform.  One ``np.lexsort`` groups replicas by outcome
+``(id_i, id_j, tail index, head index)``; each distinct outcome is evaluated
+once and cached, by ``shuffle._split_at`` (the split), ``_outcome_admissible``
+(self-loop, degenerate, ``arc_a == arc_b``) and ``_alpha_outcome`` (alpha's
+outcome part).  What depends on a replica's other arcs, copies of a new arc
+among the ``m - 2`` that stay and alpha's pair multiplicities, is compared
+per row as in ``_admissible`` and ``_alpha_terms``, and ``_alpha_rejects``
+thins elementwise.  Finals are tallied with ``np.unique`` over sorted rows.
+
+When the intern table or the cache passes ``2 * R * m`` entries, the table
+is compacted to the ids in use and the cache cleared, bounding memory over
+any number of steps.  Limits raise ``ValueError`` rather than round: a slot
+pair with ``2**63`` or more splits, past the int64 index draw (checked
+before stepping), and in vertex mode an alpha denominator of ``2**53`` or
+more, finer than the 53-bit thinning uniform (checked when drawn).
 
 Randomness comes from ``numpy.random.Generator`` (PCG64) seeded once, so a
 given (start, spec, steps, replicas, seed) is reproducible bit for bit.
@@ -15,7 +31,6 @@ given (start, spec, steps, replicas, seed) is reproducible bit for bit.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -23,13 +38,22 @@ import numpy as np
 from .hypergraph import (
     DirectedHypergraph,
     SpaceSpec,
+    _canonical_bytes,
     canonical_form,
-    canonicalize,
     degree_sequence,
     in_space,
-    multiset,
 )
-from .shuffle import ChainConfigError
+from .shuffle import (
+    _RANDOM_BITS,
+    ChainConfigError,
+    _alpha_outcome,
+    _alpha_rejects,
+    _outcome_admissible,
+    _split_at,
+)
+
+_INDEX_LIMIT = 1 << 63
+_ALPHA_DEN_LIMIT = 1 << _RANDOM_BITS
 
 
 def sample_replicas(
@@ -46,174 +70,114 @@ def sample_replicas(
     deliberately broken sampler used as a negative control); it has no
     effect in stub mode.
     """
+    if steps < 0 or replicas < 0:
+        raise ValueError("steps and replicas must be nonnegative")
     if not in_space(H0, spec, degree_sequence(H0)):
         raise ChainConfigError("start state is outside the configured space")
     m = H0.n_arcs
-    n_v = H0.n_vertices
-    if m < 2 or steps == 0:
+    if m < 2 or steps == 0 or replicas == 0:
         return Counter({canonical_form(H0): replicas})
 
+    t_size = np.array([len(t) for t, _ in H0.arcs])
+    h_size = np.array([len(h) for _, h in H0.arcs])
+    tail_splits, head_splits = _split_counts(t_size), _split_counts(h_size)
+    thin = spec.labeling == "vertex" and not bias_alpha_one
+    arcs = list(dict.fromkeys(H0.arcs))
+    index = {a: k for k, a in enumerate(arcs)}
+    start = np.array([index[a] for a in H0.arcs], dtype=np.int64)
+    ids = np.tile(start, (replicas, 1))
+    cache: dict[tuple[int, ...], tuple] = {}
+
+    def intern(arc) -> int:
+        if arc not in index:
+            index[arc] = len(arcs)
+            arcs.append(arc)
+        return index[arc]
+
+    def evaluate(key) -> tuple:
+        a, b = arcs[key[0]], arcs[key[1]]
+        tail_a, tail_b = _split_at(sorted(a[0] + b[0]), len(a[0]), key[2])
+        head_a, head_b = _split_at(sorted(a[1] + b[1]), len(a[1]), key[3])
+        arc_a, arc_b = (tail_a, head_a), (tail_b, head_b)
+        num, den = _alpha_outcome(a, b, arc_a, arc_b) if thin else (1, 1)
+        ok = _outcome_admissible(arc_a, arc_b, spec)
+        # den is capped to fit int64; a capped den fails the per-row limit.
+        cache[key] = (intern(arc_a), intern(arc_b), ok, num, min(den, _ALPHA_DEN_LIMIT))
+        return cache[key]
+
     rng = np.random.default_rng(seed)
-    tails = np.zeros((replicas, m, n_v), dtype=np.int16)
-    heads = np.zeros((replicas, m, n_v), dtype=np.int16)
-    for k, (tail, head) in enumerate(H0.arcs):
-        for v in tail:
-            tails[:, k, v] += 1
-        for v in head:
-            heads[:, k, v] += 1
-
-    pairs = list(combinations(range(m), 2))
-    pair_i = np.array([i for i, _ in pairs])
-    pair_j = np.array([j for _, j in pairs])
-    t_sizes = np.array([len(t) for t, _ in H0.arcs])
-    h_sizes = np.array([len(h) for _, h in H0.arcs])
-
-    max_count = int(max(t_sizes.max(), h_sizes.max())) * 2
-    choose = np.array(
-        [[comb(a, b) if b <= a else 0 for b in range(max_count + 1)]
-         for a in range(max_count + 1)],
-        dtype=np.float64,
-    )
-
-    vertex_mode = spec.labeling == "vertex" and not bias_alpha_one
-    check_features = not spec.allows_everything()
-
+    rows = np.arange(replicas)
     for _ in range(steps):
-        pk = rng.integers(0, len(pairs), replicas)
-        ai, aj = pair_i[pk], pair_j[pk]
+        i = rng.integers(0, m, replicas)
+        j = rng.integers(0, m - 1, replicas)
+        j += j >= i
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        id_a, id_b = ids[rows, lo], ids[rows, hi]
+        tail_index = rng.integers(0, tail_splits[t_size[lo], t_size[hi]])
+        head_index = rng.integers(0, head_splits[h_size[lo], h_size[hi]])
+        u = rng.random(replicas) if thin else None
 
-        tail_a, tail_b = _split_pools(tails, ai, aj, t_sizes, rng)
-        head_a, head_b = _split_pools(heads, ai, aj, h_sizes, rng)
+        keys = np.stack([id_a, id_b, tail_index, head_index])
+        order = np.lexsort(keys)
+        ordered = keys[:, order]
+        first = np.ones(replicas, dtype=bool)
+        first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+        group = np.empty(replicas, dtype=np.int64)
+        group[order] = np.cumsum(first) - 1
+        distinct = zip(*ordered[:, first].tolist())
+        outcomes = [cache.get(key) or evaluate(key) for key in distinct]
+        new_a, new_b, accept, num, den = (np.array(c)[group] for c in zip(*outcomes))
 
-        accept = np.ones(replicas, dtype=bool)
-        if vertex_mode:
-            alpha = _alpha_vector(
-                tails, heads, ai, aj, tail_a, tail_b, head_a, head_b,
-                t_sizes, h_sizes, choose,
-            )
-            accept &= rng.random(replicas) < alpha
-        if check_features:
-            accept &= ~_forbidden(
-                tails, heads, ai, aj, tail_a, tail_b, head_a, head_b, spec
-            )
+        if not spec.allow_multi:
+            for new in (new_a, new_b):
+                # A new arc's copies may sit only where the old arcs were.
+                copies = (ids == new[:, None]).sum(axis=1)
+                accept &= copies == (new == id_a).astype(np.int64) + (new == id_b)
+        if thin:
+            m_a = (ids == id_a[:, None]).sum(axis=1)
+            m_b = (ids == id_b[:, None]).sum(axis=1)
+            pair_count = np.where(id_a == id_b, m_a * (m_a - 1) // 2, m_a * m_b)
+            if (pair_count > (_ALPHA_DEN_LIMIT - 1) // den).any():
+                raise ValueError(
+                    f"an alpha denominator reaches 2**{_RANDOM_BITS}, "
+                    "finer than the thinning draw can resolve"
+                )
+            accept &= ~_alpha_rejects(u, num, pair_count * den)
 
-        idx = np.nonzero(accept)[0]
-        tails[idx, ai[idx]] = tail_a[idx]
-        tails[idx, aj[idx]] = tail_b[idx]
-        heads[idx, ai[idx]] = head_a[idx]
-        heads[idx, aj[idx]] = head_b[idx]
+        moved = np.flatnonzero(accept)
+        ids[moved, lo[moved]] = new_a[moved]
+        ids[moved, hi[moved]] = new_b[moved]
+        if max(len(arcs), len(cache)) > 2 * replicas * m:
+            live, inverse = np.unique(ids, return_inverse=True)
+            ids = inverse.reshape(ids.shape)
+            arcs[:] = [arcs[k] for k in live.tolist()]
+            index.clear()
+            index.update((a, k) for k, a in enumerate(arcs))
+            cache.clear()
 
-    return _tally(tails, heads, n_v)
-
-
-def _split_pools(counts, ai, aj, sizes, rng):
-    """Uniform stub-level split of the pooled counts of the chosen arc pair.
-
-    Per vertex in turn, the number of pooled tokens of that vertex handed to
-    the first slot follows a hypergeometric law conditioned on what remains;
-    the joint outcome is then exactly proportional to prod_v C(pool_v, x_v).
-    """
-    rows = np.arange(counts.shape[0])
-    pool = (counts[rows, ai] + counts[rows, aj]).astype(np.int64)
-    remaining = sizes[ai].astype(np.int64).copy()
-    n_v = pool.shape[1]
-    part = np.zeros_like(pool)
-    rest_after = np.concatenate(
-        [np.cumsum(pool[:, ::-1], axis=1)[:, ::-1][:, 1:], np.zeros((len(rows), 1), dtype=np.int64)],
-        axis=1,
+    finals, counts = np.unique(np.sort(ids, axis=1), axis=0, return_counts=True)
+    return Counter(
+        {
+            _canonical_bytes(H0.n_vertices, [arcs[k] for k in row]): count
+            for row, count in zip(finals.tolist(), counts.tolist())
+        }
     )
-    for v in range(n_v - 1):
-        take = rng.hypergeometric(pool[:, v], rest_after[:, v], remaining)
-        part[:, v] = take
-        remaining = remaining - take
-    part[:, n_v - 1] = remaining
-    return part.astype(np.int16), (pool - part).astype(np.int16)
 
 
-def _alpha_vector(
-    tails, heads, ai, aj, tail_a, tail_b, head_a, head_b, t_sizes, h_sizes, choose
-):
-    """Vectorized acceptance probabilities (float64) for every replica."""
-    rows = np.arange(tails.shape[0])
-    m = tails.shape[1]
+def _split_counts(sizes: np.ndarray) -> np.ndarray:
+    """``C(s + t, s)`` at ``[s, t]`` for the sizes ``s, t`` of any two slots.
 
-    sel_t_i, sel_h_i = tails[rows, ai], heads[rows, ai]
-    sel_t_j, sel_h_j = tails[rows, aj], heads[rows, aj]
-
-    mult_i = np.zeros(len(rows), dtype=np.int64)
-    mult_j = np.zeros(len(rows), dtype=np.int64)
-    for k in range(m):
-        eq_i = (tails[:, k] == sel_t_i).all(1) & (heads[:, k] == sel_h_i).all(1)
-        eq_j = (tails[:, k] == sel_t_j).all(1) & (heads[:, k] == sel_h_j).all(1)
-        mult_i += eq_i
-        mult_j += eq_j
-    same_pick = (sel_t_i == sel_t_j).all(1) & (sel_h_i == sel_h_j).all(1)
-    pair_count = np.where(same_pick, mult_i * (mult_i - 1) // 2, mult_i * mult_j)
-
-    pool_t = (tail_a + tail_b).astype(np.int64)
-    pool_h = (head_a + head_b).astype(np.int64)
-    weight = choose[pool_t, tail_a.astype(np.int64)].prod(axis=1)
-    weight *= choose[pool_h, head_a.astype(np.int64)].prod(axis=1)
-
-    sizes_equal = (t_sizes[ai] == t_sizes[aj]) & (h_sizes[ai] == h_sizes[aj])
-    result_equal = (tail_a == tail_b).all(1) & (head_a == head_b).all(1)
-    swap_forms = np.where(sizes_equal & ~result_equal, 2, 1)
-    coalesce = np.where(sizes_equal, 2, 1)
-    return coalesce / (pair_count * swap_forms * weight)
-
-
-def _forbidden(tails, heads, ai, aj, tail_a, tail_b, head_a, head_b, spec):
-    """Replicas whose proposed result carries a forbidden feature."""
-    replicas = tails.shape[0]
-    m = tails.shape[1]
-    bad = np.zeros(replicas, dtype=bool)
-    if not spec.allow_self_loops:
-        if spec.overlap_self_loops:
-            bad |= ((tail_a > 0) & (head_a > 0)).any(1)
-            bad |= ((tail_b > 0) & (head_b > 0)).any(1)
-        else:
-            bad |= (tail_a == head_a).all(1)
-            bad |= (tail_b == head_b).all(1)
-    if not spec.allow_degenerate:
-        bad |= (tail_a >= 2).any(1) | (head_a >= 2).any(1)
-        bad |= (tail_b >= 2).any(1) | (head_b >= 2).any(1)
-    if not spec.allow_multi:
-        bad |= (tail_a == tail_b).all(1) & (head_a == head_b).all(1)
-        untouched = np.ones((replicas, m), dtype=bool)
-        rows = np.arange(replicas)
-        untouched[rows, ai] = False
-        untouched[rows, aj] = False
-        for k in range(m):
-            other = untouched[:, k]
-            hit_a = (tails[:, k] == tail_a).all(1) & (heads[:, k] == head_a).all(1)
-            hit_b = (tails[:, k] == tail_b).all(1) & (heads[:, k] == head_b).all(1)
-            bad |= other & (hit_a | hit_b)
-    return bad
-
-
-def _tally(tails, heads, n_vertices) -> Counter[bytes]:
-    """Canonical form counts over final replica states."""
-    replicas, m, _ = tails.shape
-    stacked = np.concatenate([tails, heads], axis=2)
-    raw: Counter[bytes] = Counter()
-    first_seen: dict[bytes, int] = {}
-    for r in range(replicas):
-        key = b"".join(sorted(stacked[r, k].tobytes() for k in range(m)))
-        raw[key] += 1
-        first_seen.setdefault(key, r)
-
-    out: Counter[bytes] = Counter()
-    for key, count in raw.items():
-        r = first_seen[key]
-        arcs = []
-        for k in range(m):
-            tail = multiset(
-                v for v in range(n_vertices) for _ in range(int(tails[r, k, v]))
-            )
-            head = multiset(
-                v for v in range(n_vertices) for _ in range(int(heads[r, k, v]))
-            )
-            arcs.append((tail, head))
-        H = canonicalize(DirectedHypergraph(n_vertices, tuple(arcs)))
-        out[canonical_form(H)] += count
-    return out
+    ``ValueError`` at ``2**63`` or more, past the int64 index draw; the
+    largest count is at the two largest sizes.  Unused entries are clipped.
+    """
+    t, s = sorted(sizes.tolist())[-2:]
+    if comb(s + t, s) >= _INDEX_LIMIT:
+        raise ValueError(
+            f"a {s + t}-stub pool has {comb(s + t, s)} splits, "
+            "past the 2**63 the replica engine's index draw covers"
+        )
+    table = np.zeros((s + 1, s + 1), dtype=np.int64)
+    for a in set(sizes.tolist()):
+        for b in set(sizes.tolist()):
+            table[a, b] = min(comb(a + b, a), _INDEX_LIMIT - 1)
+    return table

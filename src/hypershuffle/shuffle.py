@@ -122,6 +122,30 @@ def _draw_split(pool: list[int], k: int, rng: random.Random):
     return tuple([pool[t] for t in picked]), tuple([pool[t] for t in rest])
 
 
+def _split_at(pool: list[int], k: int, index: int):
+    """The split :func:`_draw_split` deals when it draws table entry ``index``."""
+    table = _split_table(len(pool), k)
+    if table is None:
+        return _unrank_split(pool, k, index)
+    picked, rest = table[index]
+    return tuple([pool[t] for t in picked]), tuple([pool[t] for t in rest])
+
+
+def _unrank_split(pool: list[int], k: int, index: int):
+    """Split ``index`` in ``itertools.combinations`` order, the table's order."""
+    picked, rest = [], []
+    for x, v in enumerate(pool):
+        left = k - len(picked)
+        # comb(n - x - 1, left - 1) of the remaining splits pick x next.
+        skip = comb(len(pool) - x - 1, left - 1) if left else 0
+        if index < skip:
+            picked.append(v)
+        else:
+            index -= skip
+            rest.append(v)
+    return tuple(picked), tuple(rest)
+
+
 def _draw_proposal(arcs, rng: random.Random) -> ShuffleProposal:
     """Arc pair, then tail split, then head split; ``len(arcs) >= 2``.
 
@@ -163,6 +187,18 @@ def proposed_arcs(p: ShuffleProposal) -> tuple[Hyperarc, Hyperarc]:
     return (p.new_tail_i, p.new_head_i), (p.new_tail_j, p.new_head_j)
 
 
+def _outcome_admissible(arc_a: Hyperarc, arc_b: Hyperarc, spec: SpaceSpec) -> bool:
+    """Self-loop, degenerate and (multi forbidden) ``arc_a == arc_b`` rules."""
+    if not spec.allow_self_loops:
+        overlap = spec.overlap_self_loops
+        if is_self_loop(arc_a, overlap) or is_self_loop(arc_b, overlap):
+            return False
+    if not spec.allow_degenerate:
+        if is_degenerate(arc_a) or is_degenerate(arc_b):
+            return False
+    return spec.allow_multi or arc_a != arc_b
+
+
 def _admissible(
     a: Hyperarc,
     b: Hyperarc,
@@ -177,22 +213,14 @@ def _admissible(
     is the multiplicity of ``x`` among all arcs before the move, ``a`` and
     ``b`` included.
     """
-    if not spec.allow_self_loops:
-        overlap = spec.overlap_self_loops
-        if is_self_loop(arc_a, overlap) or is_self_loop(arc_b, overlap):
-            return False
-    if not spec.allow_degenerate:
-        if is_degenerate(arc_a) or is_degenerate(arc_b):
-            return False
-    if not spec.allow_multi:
-        if arc_a == arc_b:
-            return False
-        # Copies of a new arc left among the m - 2 arcs that stay.
-        if count(arc_a) > (arc_a == a) + (arc_a == b):
-            return False
-        if count(arc_b) > (arc_b == a) + (arc_b == b):
-            return False
-    return True
+    if not _outcome_admissible(arc_a, arc_b, spec):
+        return False
+    if spec.allow_multi:
+        return True
+    # Copies of a new arc left among the m - 2 arcs that stay.
+    return count(arc_a) <= (arc_a == a) + (arc_a == b) and (
+        count(arc_b) <= (arc_b == a) + (arc_b == b)
+    )
 
 
 def apply_shuffle(
@@ -241,6 +269,17 @@ def acceptance_probability(H: DirectedHypergraph, p: ShuffleProposal) -> Fractio
     return Fraction(*_alpha_terms(a, b, arc_a, arc_b, H.arcs.count))
 
 
+def _alpha_outcome(
+    a: Hyperarc, b: Hyperarc, arc_a: Hyperarc, arc_b: Hyperarc
+) -> tuple[int, int]:
+    """Alpha's part fixed by the outcome: ``(coalesce, swap_forms * weight)``."""
+    weight = _split_weight(arc_a[0], arc_b[0]) * _split_weight(arc_a[1], arc_b[1])
+    sizes_equal = len(a[0]) == len(b[0]) and len(a[1]) == len(b[1])
+    swap_forms = 2 if sizes_equal and arc_a != arc_b else 1
+    coalesce = 2 if sizes_equal else 1
+    return coalesce, swap_forms * weight
+
+
 def _alpha_terms(
     a: Hyperarc,
     b: Hyperarc,
@@ -249,20 +288,20 @@ def _alpha_terms(
     count: Callable[[Hyperarc], int],
 ) -> tuple[int, int]:
     """Alpha as ``(num, den)``; ``count`` as in :func:`_admissible`."""
-    weight = _split_weight(arc_a[0], arc_b[0]) * _split_weight(arc_a[1], arc_b[1])
-    if a == b:
-        pair_count = comb(count(a), 2)
-    else:
-        pair_count = count(a) * count(b)
-    sizes_equal = len(a[0]) == len(b[0]) and len(a[1]) == len(b[1])
-    swap_forms = 2 if sizes_equal and arc_a != arc_b else 1
-    coalesce = 2 if sizes_equal else 1
-    return coalesce, pair_count * swap_forms * weight
+    num, den = _alpha_outcome(a, b, arc_a, arc_b)
+    pair_count = comb(count(a), 2) if a == b else count(a) * count(b)
+    return num, pair_count * den
 
 
-def _alpha_rejects(u: float, num: int, den: int) -> bool:
-    """``u >= num/den`` for ``u = rng.random()``, decided in integers."""
-    return int(u * (1 << _RANDOM_BITS)) * den >= num << _RANDOM_BITS
+def _alpha_rejects(u, num, den):
+    """``u >= num/den`` for ``u = rng.random()``, decided in integers.
+
+    ``u * 2**53`` is the integer that ``random()`` drew; it rejects iff it
+    reaches ``ceil(num * 2**53 / den)``.  Exact elementwise on numpy arrays
+    too for ``num <= 2`` and int64 ``den < 2**53``: the ceiling is then at
+    most ``2**53`` or exactly ``2**54``, both exact in float64.
+    """
+    return u * (1 << _RANDOM_BITS) >= -(-(num << _RANDOM_BITS) // den)
 
 
 def _split_weight(part_a: Multiset, part_b: Multiset) -> int:

@@ -202,3 +202,61 @@ def test_sample_vertex_mode_report(fig_file, tmp_path):
     payload = json.loads(report.read_text())
     assert payload["labeling"] == "vertex"
     assert payload["verdict"] in ("pass", "fail")
+
+
+def test_sample_report_without_enough_cells(blocked_file, tmp_path):
+    # One sample: every expected count is below 5, so all cells pool into
+    # one and no chi-square test can run.
+    report = tmp_path / "report.json"
+    code = run_cli(
+        "sample", "--input", blocked_file, "--space", "sd", "--steps", "10",
+        "--samples", "1", "--seed", "1", "--out", str(tmp_path / "s.dhg"),
+        "--report", str(report),
+    )
+    assert code == 0
+    payload = json.loads(report.read_text())
+    assert payload["verdict"] == (
+        "no chi-square test: not enough cells with adequate expected counts"
+    )
+    assert payload["replicas"] == 1
+
+
+def test_unknown_space_letter_is_a_usage_error(fig_file, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli("sample", "--input", fig_file, "--space", "sdx")
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: hypershuffle sample")
+    assert "argument --space: unknown feature letters: ['x']" in stderr
+
+
+@pytest.mark.parametrize("limit", ["3", "0"])
+def test_chain_verify_state_limit_exits_1(fig_file, capsys, limit):
+    # 0 is a limit like any other, not a request for the default.
+    assert run_cli("chain-verify", "--input", fig_file, "--limit", limit) == 1
+    assert capsys.readouterr().err == f"error: 36 states exceed the cap {limit}\n"
+
+
+def test_chain_verify_zero_steps_exports_the_start(fig_file, tmp_path):
+    curve = tmp_path / "tv.csv"
+    code = run_cli(
+        "chain-verify", "--input", fig_file, "--steps", "0",
+        "--export-tv", str(curve),
+    )
+    assert code == 0
+    lines = curve.read_text().splitlines()
+    assert lines[0] == "step,tv"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0"]
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--limit"])
+def test_chain_verify_negative_count_is_a_usage_error(fig_file, capsys, tmp_path, flag):
+    curve = tmp_path / "tv.csv"
+    with pytest.raises(SystemExit) as err:
+        run_cli("chain-verify", "--input", fig_file, flag, "-3",
+                "--export-tv", str(curve))
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: hypershuffle chain-verify")
+    assert f"argument {flag}: must be nonnegative, got -3" in stderr
+    assert not curve.exists()

@@ -1,5 +1,7 @@
 """Vectorized replica engine: agreement with the exact kernel law."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -10,13 +12,19 @@ from hypershuffle import (
     build_stub_chain,
     build_vertex_chain,
     canonical_form,
+    degree_sequence,
     enumerate_vertex_space,
+    hypergraph,
+    in_space,
     sample_replicas,
     stub_state_to_hypergraph,
 )
+from hypershuffle.hypergraph import _canonical_bytes
+from hypershuffle.shuffle import _unrank_split
 from conftest import D1_BLOCKED, FIG_DEGREES
 
 SDM = SpaceSpec.from_string("sdm")
+DOUBLED_ARC = hypergraph(3, [((0, 1), (2,)), ((0, 1), (2,)), ((2,), (0,))])
 
 
 def lumped_class_row(g, n_vertices, start_key):
@@ -53,10 +61,27 @@ class TestSingleStepAgreement:
         stat, p = chi2_against(counts, expected)
         assert p > 0.01
 
-    def test_vertex_mode_matches_exact_row(self):
-        spec = SpaceSpec.from_string("sdm", "vertex")
-        g = build_vertex_chain(FIG_DEGREES, spec)
-        H0 = g.states[2]
+    # Forbidden features exercise the per-row multi check and overlap
+    # self-loops.  The "dm" starts hold a multi-arc, so alpha's pair
+    # multiplicities exceed 1; picking both copies of the doubled 2-tail
+    # arc takes the comb(m_a, 2) branch.
+    @pytest.mark.parametrize(
+        "degrees, features, overlap, start",
+        [
+            (FIG_DEGREES, "sdm", False, 2),
+            (FIG_DEGREES, "", False, 1),
+            (FIG_DEGREES, "s", False, 3),
+            (FIG_DEGREES, "d", False, 1),
+            (FIG_DEGREES, "d", True, 0),
+            (FIG_DEGREES, "dm", False, 3),
+            (degree_sequence(DOUBLED_ARC), "dm", False, 5),
+        ],
+        ids=["sdm", "none", "s", "d", "d-overlap", "dm-multi", "dm-doubled-arc"],
+    )
+    def test_vertex_mode_matches_exact_row(self, degrees, features, overlap, start):
+        spec = SpaceSpec.from_string(features, "vertex", overlap)
+        g = build_vertex_chain(degrees, spec)
+        H0 = g.states[start]
         expected = {
             g.keys[j]: float(p) for j, p in g.rows[g.keys.index(canonical_form(H0))].items()
         }
@@ -98,6 +123,31 @@ class TestEngineBasics:
         space = enumerate_vertex_space(FIG_DEGREES, SDM)
         counts = sample_replicas(space[0], SDM, steps=0, replicas=123, seed=1)
         assert counts == {canonical_form(space[0]): 123}
+
+    def test_zero_replicas_count_nothing(self):
+        space = enumerate_vertex_space(FIG_DEGREES, SDM)
+        counts = sample_replicas(space[0], SDM, steps=5, replicas=0, seed=1)
+        assert sum(counts.values()) == 0
+
+    @pytest.mark.parametrize("steps, replicas", [(-1, 10), (1, -1)])
+    def test_negative_counts_rejected(self, steps, replicas):
+        space = enumerate_vertex_space(FIG_DEGREES, SDM)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            sample_replicas(space[0], SDM, steps=steps, replicas=replicas, seed=1)
+
+    def test_split_count_past_int64_rejected(self):
+        # C(68, 34) splits of the pooled tails exceed 2**63.
+        H = hypergraph(2, [((0,) * 34, (1,)), ((1,) * 34, (0,))])
+        with pytest.raises(ValueError, match="past the 2\\*\\*63"):
+            sample_replicas(H, SDM, steps=1, replicas=10, seed=1)
+
+    def test_alpha_denominator_past_2_53_rejected(self):
+        # Every outcome keeps the two equal arcs; alpha's split weight
+        # C(58, 29) * C(2, 1) exceeds 2**53.
+        H = hypergraph(2, [((0,) * 29, (1,)), ((0,) * 29, (1,))])
+        spec = SpaceSpec.from_string("sdm", "vertex")
+        with pytest.raises(ValueError, match="alpha denominator reaches 2\\*\\*53"):
+            sample_replicas(H, spec, steps=1, replicas=10, seed=1)
 
     def test_out_of_space_start_rejected(self):
         with pytest.raises(ChainConfigError):
@@ -148,3 +198,76 @@ class TestSampledUniformity:
         )
         report = uniformity_test(counts, keys)
         assert report.p_value < 1e-4
+
+
+class TestLargePoolsAndCompaction:
+    def test_unrank_split_matches_combinations_order(self):
+        for n in range(11):
+            pool = list(range(n))
+            for k in range(n + 1):
+                for index, picked in enumerate(combinations(pool, k)):
+                    rest = tuple(t for t in pool if t not in picked)
+                    assert _unrank_split(pool, k, index) == (picked, rest)
+
+    def test_pools_past_the_split_table_stay_in_space(self):
+        # Two 8-stub tails pool to C(16, 8) = 12870 splits, past the
+        # 4096-split table, so every tail split is unranked.
+        H = hypergraph(18, [(range(8), (16,)), (range(8, 16), (17,))])
+        spec = SpaceSpec.from_string("")
+        counts = sample_replicas(H, spec, steps=20, replicas=500, seed=905)
+        assert sum(counts.values()) == 500
+        assert len(counts) > 1
+        d = degree_sequence(H)
+        for key in counts:
+            assert in_space(decode(key), spec, d)
+
+    def test_compacting_run_is_deterministic(self, monkeypatch):
+        first, compactions = compacting_run(monkeypatch, seed=906)
+        again, _ = compacting_run(monkeypatch, seed=906)
+        assert compactions >= 2
+        assert first == again
+
+    def test_compacting_run_finals_in_space(self, monkeypatch):
+        counts, compactions = compacting_run(monkeypatch, seed=907)
+        assert compactions >= 2
+        assert sum(counts.values()) == COMPACTING_REPLICAS
+        d = degree_sequence(FORTY_ARCS)
+        for key in counts:
+            assert in_space(decode(key), COMPACTING_SPEC, d)
+
+
+# 40 distinct arcs on 40 vertices, no self-loops or degenerate arcs.
+FORTY_ARCS = hypergraph(
+    40, [((k, (k + 1) % 40), ((k + 2) % 40, (k + 5) % 40)) for k in range(40)]
+)
+COMPACTING_SPEC = SpaceSpec.from_string("", "vertex")
+COMPACTING_REPLICAS = 10
+
+
+def compacting_run(monkeypatch, seed):
+    """A run long enough to pass the 2 * R * m compaction point, and the
+    number of compactions it made (its ``np.unique`` calls with an inverse)."""
+    unique, compactions = np.unique, []
+
+    def counting_unique(*args, **kwargs):
+        compactions.append(kwargs.get("return_inverse", False))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    counts = sample_replicas(
+        FORTY_ARCS, COMPACTING_SPEC, steps=300, replicas=COMPACTING_REPLICAS, seed=seed
+    )
+    monkeypatch.setattr(np, "unique", unique)
+    return counts, sum(compactions)
+
+
+def decode(key: bytes):
+    """The hypergraph behind a canonical form."""
+    n, body = key.decode("ascii").split("|")
+    arcs = [
+        tuple(tuple(int(v) for v in side.split(",")) for side in arc.split(">"))
+        for arc in body.split(";")
+    ]
+    H = hypergraph(int(n), arcs)
+    assert _canonical_bytes(H.n_vertices, H.arcs) == key
+    return H
