@@ -10,22 +10,28 @@ only for stationary vectors and total-variation curves.
 Every row accumulates mass per (arc pair, stub-level repartition): a
 repartition contributes ``C(|A|,2)^-1 C(ta+tb,ta)^-1 C(ha+hb,ha)^-1`` to its
 target, with rejected targets folded onto the diagonal.  Distinct
-repartitions may hit one target state; their contributions add up.
+repartitions may hit one target state; their contributions add up, so each
+arc pair counts its hits per target as integers and adds one fraction per
+target.  A target's feature verdict depends only on its vertex projection
+and is computed once per chain build.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Sequence
 
 import numpy as np
 
 from .enumeration import (
+    Stub,
+    StubArc,
     StubState,
+    _parts,
     enumerate_stub_space,
     enumerate_vertex_space,
     stub_state_to_hypergraph,
@@ -33,6 +39,8 @@ from .enumeration import (
 from .hypergraph import (
     DegreeSequence,
     DirectedHypergraph,
+    Hyperarc,
+    Multiset,
     SpaceSpec,
     canonical_form,
     canonicalize,
@@ -44,6 +52,7 @@ from .shuffle import ShuffleProposal, acceptance_probability
 STATE_LIMIT = 5000
 
 Row = dict[int, Fraction]
+ProjectedState = tuple[Hyperarc, ...]  # sorted vertex projection of a state
 
 
 class StateSpaceLimitError(ValueError):
@@ -105,64 +114,89 @@ def build_stub_chain(
     if len(states) > limit:
         raise StateSpaceLimitError(f"{len(states)} states exceed the cap {limit}")
     index = {s: k for k, s in enumerate(states)}
+    verdicts: dict[ProjectedState, bool] = {}
     n = d.n_vertices
     rows: list[Row] = []
-    for state in states:
+    for self_idx, state in enumerate(states):
+        arcs = list(state)
+        projected = [_project(a) for a in state]
+        target_proj = list(projected)
         row: Row = defaultdict(Fraction)
-        for target, mass, _ in _stub_transitions(state, n, spec):
-            if target is None:
-                row[index[state]] += mass
-            else:
-                if target not in index:
+        if len(arcs) < 2:
+            row[self_idx] += 1
+        for i, j, denom, tail_splits, head_splits in _stub_transitions(arcs):
+            # Hits per target as integers, in first-hit order; a feature
+            # rejection stays put.
+            hits: Counter[int] = Counter()
+            for (ti, tj, ti_v, tj_v), (hi, hj, hi_v, hj_v) in product(
+                tail_splits, head_splits
+            ):
+                target_proj[i], target_proj[j] = (ti_v, hi_v), (tj_v, hj_v)
+                if not _allowed(target_proj, n, spec, verdicts):
+                    hits[self_idx] += 1
+                    continue
+                arcs[i], arcs[j] = (ti, hi), (tj, hj)
+                target = index.get(tuple(sorted(arcs)))
+                if target is None:
                     raise AssertionError(
                         "one-shuffle target missing from enumerated space"
                     )
-                row[index[target]] += mass
+                hits[target] += 1
+            arcs[i], arcs[j] = state[i], state[j]
+            target_proj[i], target_proj[j] = projected[i], projected[j]
+            for target, count in hits.items():
+                row[target] += Fraction(count, denom)
         rows.append(dict(row))
     _check_rows(rows)
     return ChainGraph(spec, d, list(states), [_stub_key(s) for s in states], rows)
 
 
-def _stub_transitions(state: StubState, n_vertices: int, spec: SpaceSpec):
-    """Yield (target_state_or_None, mass, proposal_info) per repartition.
+# A split of a pooled side: (stubs to arc i, stubs to arc j, and their vertices).
+Split = tuple[tuple[Stub, ...], tuple[Stub, ...], Multiset, Multiset]
 
-    ``None`` marks a feature rejection; the caller folds it onto the
-    diagonal.  ``proposal_info`` carries (i, j, new stub arcs) for callers
-    that thin by an acceptance probability.
+
+def _stub_transitions(arcs: Sequence[StubArc]):
+    """Yield ``(i, j, denom, tail_splits, head_splits)`` per arc pair.
+
+    Every pairing of a tail split with a head split is one stub-level
+    repartition of arcs i and j, proposed with probability ``1/denom``;
+    splits are listed in ``combinations`` order of the stubs going to arc i.
     """
-    arcs = list(state)
     m = len(arcs)
-    if m < 2:
-        yield state, Fraction(1), None
-        return
     npairs = comb(m, 2)
     for i, j in combinations(range(m), 2):
-        tail_i, head_i = arcs[i]
-        tail_j, head_j = arcs[j]
-        pool_t = tuple(sorted(tail_i + tail_j))
-        pool_h = tuple(sorted(head_i + head_j))
-        kt, kh = len(tail_i), len(head_i)
-        denom = npairs * comb(len(pool_t), kt) * comb(len(pool_h), kh)
-        mass = Fraction(1, denom)
-        for picked_t in combinations(range(len(pool_t)), kt):
-            chosen_t = set(picked_t)
-            new_tail_i = tuple(pool_t[t] for t in picked_t)
-            new_tail_j = tuple(pool_t[t] for t in range(len(pool_t)) if t not in chosen_t)
-            for picked_h in combinations(range(len(pool_h)), kh):
-                chosen_h = set(picked_h)
-                new_head_i = tuple(pool_h[t] for t in picked_h)
-                new_head_j = tuple(
-                    pool_h[t] for t in range(len(pool_h)) if t not in chosen_h
-                )
-                new_arcs = list(arcs)
-                new_arcs[i] = (new_tail_i, new_head_i)
-                new_arcs[j] = (new_tail_j, new_head_j)
-                target: StubState = tuple(sorted(new_arcs))
-                info = (i, j, new_arcs[i], new_arcs[j])
-                if _feature_ok(stub_state_to_hypergraph(target, n_vertices), spec):
-                    yield target, mass, info
-                else:
-                    yield None, mass, info
+        (tail_i, head_i), (tail_j, head_j) = arcs[i], arcs[j]
+        tail_splits = _splits(tuple(sorted(tail_i + tail_j)), len(tail_i))
+        head_splits = _splits(tuple(sorted(head_i + head_j)), len(head_i))
+        denom = npairs * len(tail_splits) * len(head_splits)
+        yield i, j, denom, tail_splits, head_splits
+
+
+def _splits(pool: tuple[Stub, ...], k: int) -> list[Split]:
+    return [(a, b, _vertices(a), _vertices(b)) for a, b in _parts(pool, k)]
+
+
+def _vertices(stubs: tuple[Stub, ...]) -> Multiset:
+    # Stubs are sorted by vertex first, so their vertices come out sorted.
+    return tuple(v for v, _ in stubs)
+
+
+def _project(a: StubArc) -> Hyperarc:
+    return _vertices(a[0]), _vertices(a[1])
+
+
+def _allowed(
+    target_proj: list[Hyperarc],
+    n_vertices: int,
+    spec: SpaceSpec,
+    verdicts: dict[ProjectedState, bool],
+) -> bool:
+    """Feature verdict of a vertex projection, computed once per build."""
+    key = tuple(sorted(target_proj))
+    verdict = verdicts.get(key)
+    if verdict is None:
+        verdict = verdicts[key] = _feature_ok(DirectedHypergraph(n_vertices, key), spec)
+    return verdict
 
 
 def build_vertex_chain(
@@ -290,33 +324,40 @@ def build_vertex_chain_lumped(
     class_keys = sorted({canonical_form(H) for H in projections})
     class_index = {key: k for k, key in enumerate(class_keys)}
     class_rep = {canonical_form(H): H for H in projections}
+    class_of = {H.arcs: class_index[canonical_form(H)] for H in projections}
+    verdicts: dict[ProjectedState, bool] = {}
 
     lumped_rows: dict[int, Row] = {}
     for state, H_proj in zip(stub_states, projections):
         row: Row = defaultdict(Fraction)
-        src = class_index[canonical_form(H_proj)]
-        for target, mass, info in _stub_transitions(state, n, spec):
-            if info is None:
-                row[src] += mass
-                continue
-            i, j, new_a, new_b = info
-            prop = ShuffleProposal(
-                i,
-                j,
-                multiset(v for v, _ in new_a[0]),
-                multiset(v for v, _ in new_a[1]),
-                multiset(v for v, _ in new_b[0]),
-                multiset(v for v, _ in new_b[1]),
+        src = class_of[H_proj.arcs]
+        projected = [_project(a) for a in state]
+        target_proj = list(projected)
+        # Alpha reads arcs i and j by position, so it gets the projection in
+        # the stub state's arc order, not the sorted class representative.
+        H_at = DirectedHypergraph(n, tuple(projected))
+        if len(state) < 2:
+            row[src] += 1
+        for i, j, denom, tail_splits, head_splits in _stub_transitions(state):
+            # Repartitions with one vertex-level outcome share its alpha,
+            # target class and feature verdict.
+            outcomes: Counter[tuple[Hyperarc, Hyperarc]] = Counter(
+                ((ti_v, hi_v), (tj_v, hj_v))
+                for (_, _, ti_v, tj_v), (_, _, hi_v, hj_v) in product(
+                    tail_splits, head_splits
+                )
             )
-            alpha = acceptance_probability(H_proj, prop)
-            row[src] += mass * (1 - alpha)
-            if target is None:
-                row[src] += mass * alpha
-            else:
-                tgt_class = class_index[
-                    canonical_form(stub_state_to_hypergraph(target, n))
-                ]
-                row[tgt_class] += mass * alpha
+            for (new_a, new_b), count in outcomes.items():
+                mass = Fraction(count, denom)
+                prop = ShuffleProposal(i, j, new_a[0], new_a[1], new_b[0], new_b[1])
+                alpha = acceptance_probability(H_at, prop)
+                row[src] += mass * (1 - alpha)
+                target_proj[i], target_proj[j] = new_a, new_b
+                if _allowed(target_proj, n, spec, verdicts):
+                    row[class_of[tuple(sorted(target_proj))]] += mass * alpha
+                else:
+                    row[src] += mass * alpha
+            target_proj[i], target_proj[j] = projected[i], projected[j]
         clean = {k: v for k, v in row.items() if v}
         if src in lumped_rows and lumped_rows[src] != clean:
             raise AssertionError(

@@ -17,6 +17,7 @@ import sys
 from collections import Counter
 
 from .chains import (
+    STATE_LIMIT,
     StateSpaceLimitError,
     build_stub_chain,
     build_vertex_chain,
@@ -31,6 +32,8 @@ from .chains import (
 )
 from .dhg import DhgParseError, parse_dhg, serialize_dhg
 from .enumeration import (
+    STUB_STATE_LIMIT,
+    VERTEX_STUB_LIMIT,
     EnumerationLimitError,
     count_stub_realizations,
     enumerate_vertex_space,
@@ -149,7 +152,7 @@ def cmd_enumerate(args) -> int:
     H = _load(args.input)
     d = degree_sequence(H)
     spec = _spec(args)
-    limit = 16 if args.limit is None else args.limit
+    limit = VERTEX_STUB_LIMIT if args.limit is None else args.limit
     states = enumerate_vertex_space(d, spec, limit=limit)
     lines = [f"{len(states)}"]
     if args.verbose:
@@ -166,7 +169,7 @@ def cmd_chain_verify(args) -> int:
     H = _load(args.input)
     d = degree_sequence(H)
     spec = _spec(args)
-    limit = 5000 if args.limit is None else args.limit
+    limit = STATE_LIMIT if args.limit is None else args.limit
     if spec.labeling == "stub":
         g = build_stub_chain(d, spec, limit=limit)
         symmetric, witness = check_regular(g)
@@ -240,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--labeling", choices=("stub", "vertex"),
                        default=labeling_default)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--limit", type=_count, default=None,
-                       help="state-space / stub-count cap override")
 
     p_sample = sub.add_parser("sample", help="run shuffle chains")
     common(p_sample)
@@ -254,12 +255,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="enumerate a space")
     common(p_enum)
+    p_enum.add_argument("--limit", type=_count, default=None,
+                        help="largest total stub count (in + out) the "
+                        f"enumeration accepts (default {VERTEX_STUB_LIMIT})")
     p_enum.add_argument("--verbose", action="store_true",
                         help="list every hypergraph, not just the count")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_chain = sub.add_parser("chain-verify", help="exact chain checks")
     common(p_chain)
+    p_chain.add_argument("--limit", type=_count, default=None,
+                         help="largest number of chain states "
+                         f"(default {STATE_LIMIT}); does not lift the "
+                         f"enumeration guard of {STUB_STATE_LIMIT} stubs "
+                         f"(stub labeling) or {VERTEX_STUB_LIMIT} (vertex)")
     p_chain.add_argument("--steps", type=_count, default=None,
                          help="length of the exported TV curve")
     p_chain.add_argument("--export-chain", default=None,

@@ -10,6 +10,7 @@ on every instance small enough to enumerate.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from math import factorial
 
@@ -125,20 +126,6 @@ def _repeats(ms: Multiset) -> bool:
     return any(ms[k] == ms[k + 1] for k in range(len(ms) - 1))
 
 
-def _assignments(stubs: list[Stub], sizes: list[int], k: int = 0):
-    """Distribute distinct stubs over arc slots with fixed capacities."""
-    if k == len(sizes):
-        yield []
-        return
-    remaining = [s for s in stubs]
-    for chosen in combinations(range(len(remaining)), sizes[k]):
-        chosen_set = set(chosen)
-        part = tuple(remaining[t] for t in chosen)
-        rest = [remaining[t] for t in range(len(remaining)) if t not in chosen_set]
-        for tail_rest in _assignments(rest, sizes, k + 1):
-            yield [part] + tail_rest
-
-
 def stub_state_to_hypergraph(state: StubState, n_vertices: int) -> DirectedHypergraph:
     """Vertex-level projection of a stub-labeled state (the map to classes)."""
     arcs = tuple(
@@ -163,32 +150,72 @@ def enumerate_stub_space(
     A stub-labeled state is the set of arcs written as (tail stub set,
     head stub set); assignments that induce the same arc sets are one state.
     Feature constraints are applied on the vertex projection.
+
+    States are generated one per orbit of arc permutations, never as a
+    product of assignments to be deduplicated.  The arc slots are sorted by
+    (tail size, head size) and dealt in that order; inside each run of
+    equal-size slots every tail must start with a larger stub than the tail
+    before it, while heads are dealt freely.  Every size is at least 1, so
+    the tails of a state are disjoint and nonempty and their first stubs
+    are distinct: listing its arcs by size and then by first tail stub is
+    the one dealing that reaches it.  Each state therefore comes out
+    exactly once.
     """
     _check_limit(d, limit)
-    out_stubs = [
-        (v, k) for v, (_, d_out) in enumerate(d.vertex_degrees) for k in range(d_out)
-    ]
-    in_stubs = [
-        (v, k) for v, (d_in, _) in enumerate(d.vertex_degrees) for k in range(d_in)
-    ]
-    t_sizes = [t for t, _ in d.arc_degrees]
-    h_sizes = [h for _, h in d.arc_degrees]
+    return sorted(
+        state
+        for state in _stub_states(d)
+        if not _state_features(state, d.n_vertices, spec).forbidden_by(spec)
+    )
 
-    states: set[StubState] = set()
-    for tails in _assignments(out_stubs, t_sizes):
-        for heads in _assignments(in_stubs, h_sizes):
-            arcs = tuple(
-                sorted(
-                    (tuple(sorted(t)), tuple(sorted(h)))
-                    for t, h in zip(tails, heads)
-                )
-            )
-            if arcs in states:
+
+def _stub_states(d: DegreeSequence):
+    """Every stub-labeled state of ``d``, each once, features unchecked."""
+    out_stubs = tuple(
+        (v, k) for v, (_, d_out) in enumerate(d.vertex_degrees) for k in range(d_out)
+    )
+    in_stubs = tuple(
+        (v, k) for v, (d_in, _) in enumerate(d.vertex_degrees) for k in range(d_in)
+    )
+    slots = sorted(d.arc_degrees)
+    # Inside a run of equal-size slots the tails' first stubs ascend.
+    ascending = [k > 0 and slots[k - 1] == slots[k] for k in range(len(slots))]
+    head_deals = list(_deal(in_stubs, [h for _, h in slots], [False] * len(slots)))
+    for tails in _deal(out_stubs, [t for t, _ in slots], ascending):
+        for heads in head_deals:
+            yield tuple(sorted(zip(tails, heads)))
+
+
+def _deal(stubs: tuple[Stub, ...], sizes: list[int], ascending: list[bool]):
+    """Deal sorted distinct stubs into parts of ``sizes``, slot by slot.
+
+    Where ``ascending[k]`` is set, part ``k`` must start with a larger stub
+    than part ``k - 1``.
+    """
+    parts: list[tuple[Stub, ...]] = []
+
+    def deal(k: int, left: tuple[Stub, ...]):
+        if k == len(sizes):
+            yield tuple(parts)
+            return
+        for part, rest in _parts(left, sizes[k]):
+            if ascending[k] and part[0] < parts[-1][0]:
                 continue
-            if _state_features(arcs, d.n_vertices, spec).forbidden_by(spec):
-                continue
-            states.add(arcs)
-    return sorted(states)
+            parts.append(part)
+            yield from deal(k + 1, rest)
+            parts.pop()
+
+    yield from deal(0, stubs)
+
+
+def _parts(stubs: tuple[Stub, ...], size: int):
+    """Yield (part, rest) for every ``size``-subset of sorted ``stubs``."""
+    for picked in combinations(range(len(stubs)), size):
+        chosen = set(picked)
+        yield (
+            tuple(stubs[t] for t in picked),
+            tuple(stubs[t] for t in range(len(stubs)) if t not in chosen),
+        )
 
 
 def count_stub_realizations(H: DirectedHypergraph) -> int:
@@ -199,8 +226,6 @@ def count_stub_realizations(H: DirectedHypergraph) -> int:
     quotient by permutations of identical arcs.  Validated against
     :func:`enumerate_stub_space` wherever that oracle can run.
     """
-    from collections import Counter
-
     total = 1
     for v in range(H.n_vertices):
         d_in = sum(h.count(v) for _, h in H.arcs)

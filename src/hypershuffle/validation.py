@@ -17,7 +17,11 @@ from dataclasses import dataclass
 from scipy.stats import chisquare
 
 from .chains import build_stub_chain, check_strongly_connected
-from .enumeration import count_stub_realizations, enumerate_vertex_space
+from .enumeration import (
+    STUB_STATE_LIMIT,
+    count_stub_realizations,
+    enumerate_vertex_space,
+)
 from .hypergraph import (
     DegreeSequence,
     DirectedHypergraph,
@@ -315,7 +319,7 @@ def find_digraph_disconnection(
     spec = SpaceSpec.from_string(features)
     for n in range(2, max_vertices + 1):
         for k in range(2, max_arcs + 1):
-            if 2 * k > 12:  # stub enumeration guard
+            if 2 * k > STUB_STATE_LIMIT:  # stub enumeration guard
                 continue
             for in_deg in _degree_vectors(n, k):
                 for out_deg in _degree_vectors(n, k):
@@ -339,7 +343,10 @@ def find_digraph_disconnection(
 
 
 def _degree_vectors(n: int, total: int):
-    """Nonincreasing-free enumeration of degree vectors summing to total."""
+    """Every length-``n`` vector of nonnegative integers summing to ``total``.
+
+    Vectors come in lexicographic order, zeros and any ordering allowed.
+    """
     if n == 1:
         yield (total,)
         return

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -18,9 +19,12 @@ from hypershuffle import (
     DegreeSequence,
     DirectedHypergraph,
     ShuffleProposal,
+    SpaceSpec,
     canonical_form,
+    classify_features,
     hypergraph,
     multiset,
+    stub_state_to_hypergraph,
 )
 
 # The worked example with five arcs: a self-loop, a degenerate arc and a
@@ -149,6 +153,62 @@ def count_stub_outcomes_in_class(
                 if canonical_form(projected) == target_key:
                     outcomes.add(state)
     return len(outcomes)
+
+
+def _assignments(stubs, sizes, k=0):
+    """Distribute distinct stubs over arc slots with fixed capacities."""
+    if k == len(sizes):
+        yield []
+        return
+    remaining = [s for s in stubs]
+    for chosen in combinations(range(len(remaining)), sizes[k]):
+        chosen_set = set(chosen)
+        part = tuple(remaining[t] for t in chosen)
+        rest = [remaining[t] for t in range(len(remaining)) if t not in chosen_set]
+        for tail_rest in _assignments(rest, sizes, k + 1):
+            yield [part] + tail_rest
+
+
+@lru_cache(maxsize=None)
+def brute_stub_states(d: DegreeSequence) -> frozenset:
+    """Independent stub-state oracle, features unchecked.
+
+    Every assignment of out-stubs to tails times every assignment of
+    in-stubs to heads, deduplicated as arc sets: (k!)^2 assignments for k
+    arcs of size (1, 1), against k! states.  Cached per degree sequence,
+    because the product is the slow part and does not depend on the space.
+    """
+    out_stubs = [
+        (v, k) for v, (_, d_out) in enumerate(d.vertex_degrees) for k in range(d_out)
+    ]
+    in_stubs = [
+        (v, k) for v, (d_in, _) in enumerate(d.vertex_degrees) for k in range(d_in)
+    ]
+    t_sizes = [t for t, _ in d.arc_degrees]
+    h_sizes = [h for _, h in d.arc_degrees]
+
+    states = set()
+    for tails in _assignments(out_stubs, t_sizes):
+        for heads in _assignments(in_stubs, h_sizes):
+            arcs = tuple(
+                sorted(
+                    (tuple(sorted(t)), tuple(sorted(h)))
+                    for t, h in zip(tails, heads)
+                )
+            )
+            states.add(arcs)
+    return frozenset(states)
+
+
+def brute_stub_space(d: DegreeSequence, spec: SpaceSpec) -> list:
+    """Product-and-dedup stub space, filtered on the vertex projection."""
+    return sorted(
+        state
+        for state in brute_stub_states(d)
+        if not classify_features(
+            stub_state_to_hypergraph(state, d.n_vertices), spec.overlap_self_loops
+        ).forbidden_by(spec)
+    )
 
 
 @pytest.fixture

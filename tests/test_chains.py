@@ -1,5 +1,6 @@
 """Exact chain analysis: matrices, chain properties, stationary behavior."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from hypershuffle.chains import (
     tv_curve_csv,
     with_perturbed_entry,
 )
+from hypershuffle.reproduce import THM2_BATTERY
 from conftest import D1_BLOCKED, D1_DEGREES, FIG_DEGREES
 
 SDM = SpaceSpec.from_string("sdm")
@@ -197,6 +199,24 @@ class TestVertexRoutes:
         assert direct.keys == lumped.keys
         assert direct.rows == lumped.rows
 
+    @pytest.mark.parametrize(
+        "d",
+        [
+            DegreeSequence(((2, 3), (2, 1)), ((1, 1), (2, 2), (1, 1))),
+            DegreeSequence(((2, 3), (1, 3), (1, 0)), ((2, 1), (2, 2), (2, 1))),
+        ],
+    )
+    def test_direct_equals_lumped_when_stub_order_differs(self, d):
+        # Sorting arcs by stubs and by vertices disagrees here: stub tails
+        # ((0,0),(1,0)) and ((0,1),(0,2)) sort in that order, their vertex
+        # tails (0,1) and (0,0) the other way.  Alpha must read the selected
+        # arcs in the stub state's order.
+        spec = SpaceSpec.from_string("sdm", "vertex")
+        direct = build_vertex_chain(d, spec)
+        lumped = build_vertex_chain_lumped(d, spec)
+        assert direct.keys == lumped.keys
+        assert direct.rows == lumped.rows
+
     def test_naive_alpha_breaks_uniformity_on_multi_instance(self):
         # Applying the two-distinct-arcs formula to identical selections
         # skews the stationary law toward realization-rich classes; the
@@ -212,6 +232,37 @@ class TestVertexRoutes:
         deg_key = canonical_form(hypergraph(3, [((0, 0), (2,)), ((1, 1), (2,))]))
         i, j = g.keys.index(mult_key), g.keys.index(deg_key)
         assert g.rows[i][j] == g.rows[j][i] == Fraction(1, 6)
+
+
+# SHA-256 of chain_edge_list, recorded before the stub oracles generated one
+# state per orbit and memoised feature verdicts; the exact rows must not move.
+THM2 = dict(THM2_BATTERY)
+EDGE_LIST_PINS = [
+    ("worked-example", FIG_DEGREES, "sdm", build_stub_chain,
+     "af00e4b15c9bbecf8ecb07865c17370737ffe169af30ba0c9014dc33e9c24acb"),
+    ("worked-example", FIG_DEGREES, "sm", build_stub_chain,
+     "fc6577602c45ee0fa02b1f08185dc688c395aee06ea7998801e08cc6884bd315"),
+    ("three-tail-pairs", D1_DEGREES, "sd", build_stub_chain,
+     "6e1b0034a987c0d6b9d59240be1e7997bdd55398b351094f46656bc5f7582358"),
+    ("two-tails-three-arcs", THM2["two-tails-three-arcs"], "s", build_stub_chain,
+     "0013b8ec5413baa857429b154db600acf70d19ebb56776ab7b299aaf800dbd8c"),
+    ("lopsided-heads", THM2["lopsided-heads"], "s", build_stub_chain,
+     "5e36d1de7259debe9c0f9b43d3e866129f79c3554ae0f0fcb41b2d86b4f7ac60"),
+    ("worked-example-lumped", FIG_DEGREES, "sdm", build_vertex_chain_lumped,
+     "42a09476bb2778488168a3d5cf29a9fe214315503db2ee77e9fbcf04220f07a1"),
+]
+
+
+@pytest.mark.parametrize(
+    "d, features, build, digest",
+    [case[1:] for case in EDGE_LIST_PINS],
+    ids=[f"{case[0]}-{case[2]}" for case in EDGE_LIST_PINS],
+)
+def test_chain_edge_list_pins(d, features, build, digest):
+    labeling = "vertex" if build is build_vertex_chain_lumped else "stub"
+    g = build(d, SpaceSpec.from_string(features, labeling))
+    text = chain_edge_list(g)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
 
 class TestExports:

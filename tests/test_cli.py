@@ -237,6 +237,29 @@ def test_chain_verify_state_limit_exits_1(fig_file, capsys, limit):
     assert capsys.readouterr().err == f"error: 36 states exceed the cap {limit}\n"
 
 
+def test_chain_verify_limit_does_not_lift_the_stub_guard(tmp_path, capsys):
+    # --limit caps chain states; the 12-stub enumeration guard stays.
+    path = tmp_path / "fourteen.dhg"
+    path.write_text(
+        "vertices a b c d e f g\n"
+        + "".join(f"arc {u} -> {w}\n" for u, w in zip("abcdefg", "bcdefga"))
+    )
+    code = run_cli("chain-verify", "--input", str(path), "--space", "s",
+                   "--limit", "100000")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: instance has 14 stubs, above the limit of 12\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["sample", "check"])
+def test_limit_is_not_an_option_where_nothing_is_capped(fig_file, capsys, command):
+    with pytest.raises(SystemExit) as err:
+        run_cli(command, "--input", fig_file, "--limit", "5")
+    assert err.value.code == 2
+    assert "unrecognized arguments: --limit 5" in capsys.readouterr().err
+
+
 def test_chain_verify_zero_steps_exports_the_start(fig_file, tmp_path):
     curve = tmp_path / "tv.csv"
     code = run_cli(

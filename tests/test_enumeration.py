@@ -1,5 +1,6 @@
 """Enumeration oracles: vertex spaces, stub spaces, realization counts."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -19,9 +20,51 @@ from hypershuffle import (
     run_chain,
     stub_state_to_hypergraph,
 )
-from conftest import D1_BLOCKED, D1_DEGREES, D1_SPREAD, FIG_DEGREES, random_instance
+from hypershuffle.enumeration import _stub_states
+from hypershuffle.hypergraph import ALL_FEATURE_SETS
+from hypershuffle.reproduce import THM1_BATTERY, THM2_BATTERY, THM4_BATTERY
+from conftest import (
+    D1_BLOCKED,
+    D1_DEGREES,
+    D1_SPREAD,
+    FIG_DEGREES,
+    brute_stub_space,
+    brute_stub_states,
+    random_instance,
+)
 
 SDM = SpaceSpec.from_string("sdm")
+
+BATTERIES = dict(THM1_BATTERY + THM2_BATTERY + THM4_BATTERY)
+
+ALL_SPECS = [
+    SpaceSpec.from_string(features, overlap_self_loops=overlap)
+    for features in ALL_FEATURE_SETS
+    for overlap in (False, True)
+]
+
+
+def mixed_size_degrees(rng: random.Random, max_stubs: int = 10) -> DegreeSequence:
+    """A random degree sequence with arc sides of 1-3 stubs.
+
+    The first two arcs share a tail size and differ in head size, so slots
+    of one tail size fall into different orbit runs.
+    """
+    while True:
+        n = rng.randint(2, 4)
+        t = rng.randint(1, 2)
+        arcs = [(t, 1), (t, 2)] + [
+            (rng.randint(1, 3), rng.randint(1, 3)) for _ in range(rng.randint(0, 2))
+        ]
+        rng.shuffle(arcs)
+        if sum(a + b for a, b in arcs) <= max_stubs:
+            break
+    d_out, d_in = [0] * n, [0] * n
+    for _ in range(sum(a for a, _ in arcs)):
+        d_out[rng.randrange(n)] += 1
+    for _ in range(sum(b for _, b in arcs)):
+        d_in[rng.randrange(n)] += 1
+    return DegreeSequence(tuple(zip(d_in, d_out)), tuple(arcs))
 
 
 class TestVertexSpace:
@@ -142,6 +185,28 @@ class TestStubSpace:
         )
         assert len(enumerate_stub_space(d, SDM)) == 2
         assert len(enumerate_stub_space(d, SpaceSpec.from_string(""))) == 0
+
+    @pytest.mark.parametrize("name", sorted(BATTERIES))
+    def test_matches_brute_force_on_batteries(self, name):
+        d = BATTERIES[name]
+        for spec in ALL_SPECS:
+            assert enumerate_stub_space(d, spec) == brute_stub_space(d, spec), spec
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_brute_force_on_mixed_sizes(self, seed):
+        d = mixed_size_degrees(random.Random(seed))
+        for spec in ALL_SPECS:
+            assert enumerate_stub_space(d, spec) == brute_stub_space(d, spec), spec
+
+    @pytest.mark.parametrize(
+        "d",
+        [BATTERIES[name] for name in sorted(BATTERIES)]
+        + [mixed_size_degrees(random.Random(seed)) for seed in range(30)],
+    )
+    def test_generator_yields_each_state_once(self, d):
+        states = list(_stub_states(d))
+        assert len(states) == len(set(states))
+        assert set(states) == brute_stub_states(d)
 
     def test_limit_guard(self):
         d = DegreeSequence(
