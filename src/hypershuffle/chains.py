@@ -23,15 +23,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .enumeration import (
+    ProjectedState,
     Stub,
     StubArc,
     StubState,
+    _allowed,
+    _feature_ok,
     _parts,
+    _project,
+    _vertices,
     enumerate_stub_space,
     enumerate_vertex_space,
     stub_state_to_hypergraph,
@@ -44,15 +47,16 @@ from .hypergraph import (
     SpaceSpec,
     canonical_form,
     canonicalize,
-    classify_features,
     multiset,
 )
 from .shuffle import ShuffleProposal, acceptance_probability
 
+if TYPE_CHECKING:
+    import numpy as np
+
 STATE_LIMIT = 5000
 
 Row = dict[int, Fraction]
-ProjectedState = tuple[Hyperarc, ...]  # sorted vertex projection of a state
 
 
 class StateSpaceLimitError(ValueError):
@@ -84,6 +88,8 @@ class ChainGraph:
         return sums
 
     def to_dense(self) -> np.ndarray:
+        import numpy as np
+
         P = np.zeros((self.n_states, self.n_states))
         for i, row in enumerate(self.rows):
             for j, p in row.items():
@@ -100,10 +106,6 @@ def _check_rows(rows: Sequence[Row]) -> None:
         total = sum(row.values(), Fraction(0))
         if total != 1:
             raise AssertionError(f"row {i} sums to {total}, not 1")
-
-
-def _feature_ok(H: DirectedHypergraph, spec: SpaceSpec) -> bool:
-    return not classify_features(H, spec.overlap_self_loops).forbidden_by(spec)
 
 
 def build_stub_chain(
@@ -174,29 +176,6 @@ def _stub_transitions(arcs: Sequence[StubArc]):
 
 def _splits(pool: tuple[Stub, ...], k: int) -> list[Split]:
     return [(a, b, _vertices(a), _vertices(b)) for a, b in _parts(pool, k)]
-
-
-def _vertices(stubs: tuple[Stub, ...]) -> Multiset:
-    # Stubs are sorted by vertex first, so their vertices come out sorted.
-    return tuple(v for v, _ in stubs)
-
-
-def _project(a: StubArc) -> Hyperarc:
-    return _vertices(a[0]), _vertices(a[1])
-
-
-def _allowed(
-    target_proj: list[Hyperarc],
-    n_vertices: int,
-    spec: SpaceSpec,
-    verdicts: dict[ProjectedState, bool],
-) -> bool:
-    """Feature verdict of a vertex projection, computed once per build."""
-    key = tuple(sorted(target_proj))
-    verdict = verdicts.get(key)
-    if verdict is None:
-        verdict = verdicts[key] = _feature_ok(DirectedHypergraph(n_vertices, key), spec)
-    return verdict
 
 
 def build_vertex_chain(
@@ -476,6 +455,8 @@ def stationary_distribution(
     iteration converges on any strongly connected piece.  A reducible
     chain gets one stationary vector per closed component instead.
     """
+    import numpy as np
+
     connected, components = check_strongly_connected(g)
     P = g.to_dense()
     if connected:
@@ -494,6 +475,8 @@ def _component_is_closed(g: ChainGraph, members: list[int]) -> bool:
 
 
 def _power_iterate(P: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    import numpy as np
+
     n = P.shape[0]
     x = np.full(n, 1.0 / n)
     for _ in range(max_iter):
@@ -516,6 +499,8 @@ def is_exactly_uniform_stationary(g: ChainGraph) -> bool:
 
 def tv_curve(g: ChainGraph, start: int, steps: int) -> list[float]:
     """Total variation distance to uniform after t = 0..steps steps."""
+    import numpy as np
+
     P = g.to_dense()
     n = g.n_states
     x = np.zeros(n)

@@ -16,6 +16,7 @@ import os
 import sys
 from collections import Counter
 
+from . import __version__
 from .chains import (
     STATE_LIMIT,
     StateSpaceLimitError,
@@ -124,6 +125,7 @@ def cmd_sample(args) -> int:
 def _report(args, H0: DirectedHypergraph, spec: SpaceSpec, counts) -> str:
     """The JSON uniformity report; its verdict names why a test could not run."""
     context = {
+        "version": __version__,
         "instance": args.input,
         "spec": spec.feature_string,
         "labeling": spec.labeling,
@@ -297,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ChainConfigError, EnumerationLimitError, StateSpaceLimitError,
-            HypergraphError, DhgParseError, FileNotFoundError) as exc:
+            HypergraphError, DhgParseError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -17,7 +17,6 @@ from math import factorial
 from .hypergraph import (
     DegreeSequence,
     DirectedHypergraph,
-    FeatureReport,
     Hyperarc,
     Multiset,
     SpaceSpec,
@@ -31,6 +30,7 @@ from .hypergraph import (
 Stub = tuple[int, int]
 StubArc = tuple[tuple[Stub, ...], tuple[Stub, ...]]
 StubState = tuple[StubArc, ...]
+ProjectedState = tuple[Hyperarc, ...]  # sorted vertex projection of a state
 
 VERTEX_STUB_LIMIT = 16
 STUB_STATE_LIMIT = 12
@@ -135,11 +135,35 @@ def stub_state_to_hypergraph(state: StubState, n_vertices: int) -> DirectedHyper
     return canonicalize(DirectedHypergraph(n_vertices, arcs))
 
 
-def _state_features(state: StubState, n_vertices: int, spec: SpaceSpec) -> FeatureReport:
-    # Features of a stub-labeled state are judged on vertex labels only.
-    return classify_features(
-        stub_state_to_hypergraph(state, n_vertices), spec.overlap_self_loops
-    )
+def _feature_ok(H: DirectedHypergraph, spec: SpaceSpec) -> bool:
+    return not classify_features(H, spec.overlap_self_loops).forbidden_by(spec)
+
+
+def _vertices(stubs: tuple[Stub, ...]) -> Multiset:
+    # Stubs are sorted by vertex first, so their vertices come out sorted.
+    return tuple(v for v, _ in stubs)
+
+
+def _project(a: StubArc) -> Hyperarc:
+    return _vertices(a[0]), _vertices(a[1])
+
+
+def _allowed(
+    projection: list[Hyperarc],
+    n_vertices: int,
+    spec: SpaceSpec,
+    verdicts: dict[ProjectedState, bool],
+) -> bool:
+    """Feature verdict of a state's vertex projection, memoised in ``verdicts``.
+
+    Features of a stub-labeled state are judged on vertex labels only, so
+    every state with one sorted projection shares one verdict.
+    """
+    key = tuple(sorted(projection))
+    verdict = verdicts.get(key)
+    if verdict is None:
+        verdict = verdicts[key] = _feature_ok(DirectedHypergraph(n_vertices, key), spec)
+    return verdict
 
 
 def enumerate_stub_space(
@@ -159,13 +183,14 @@ def enumerate_stub_space(
     the tails of a state are disjoint and nonempty and their first stubs
     are distinct: listing its arcs by size and then by first tail stub is
     the one dealing that reaches it.  Each state therefore comes out
-    exactly once.
+    exactly once.  The feature verdict is taken once per vertex projection.
     """
     _check_limit(d, limit)
+    verdicts: dict[ProjectedState, bool] = {}
     return sorted(
         state
         for state in _stub_states(d)
-        if not _state_features(state, d.n_vertices, spec).forbidden_by(spec)
+        if _allowed([_project(a) for a in state], d.n_vertices, spec, verdicts)
     )
 
 

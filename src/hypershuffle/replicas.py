@@ -32,8 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from math import comb
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .hypergraph import (
     DirectedHypergraph,
@@ -51,6 +50,9 @@ from .shuffle import (
     _outcome_admissible,
     _split_at,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _INDEX_LIMIT = 1 << 63
 _ALPHA_DEN_LIMIT = 1 << _RANDOM_BITS
@@ -70,6 +72,8 @@ def sample_replicas(
     deliberately broken sampler used as a negative control); it has no
     effect in stub mode.
     """
+    import numpy as np
+
     if steps < 0 or replicas < 0:
         raise ValueError("steps and replicas must be nonnegative")
     if not in_space(H0, spec, degree_sequence(H0)):
@@ -170,6 +174,8 @@ def _split_counts(sizes: np.ndarray) -> np.ndarray:
     ``ValueError`` at ``2**63`` or more, past the int64 index draw; the
     largest count is at the two largest sizes.  Unused entries are clipped.
     """
+    import numpy as np
+
     t, s = sorted(sizes.tolist())[-2:]
     if comb(s + t, s) >= _INDEX_LIMIT:
         raise ValueError(

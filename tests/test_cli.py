@@ -1,12 +1,14 @@
 """Command-line behavior: verdicts, exit codes, deterministic output."""
 
+import errno
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from hypershuffle import parse_dhg, serialize_dhg, split_dhg_stream
+from hypershuffle import __version__, parse_dhg, serialize_dhg, split_dhg_stream
 from hypershuffle.cli import main
 from conftest import D1_BLOCKED
 
@@ -86,6 +88,7 @@ def test_sample_report_schema(fig_file, tmp_path):
     assert payload["k"] == 60
     assert payload["replicas"] == 400
     assert payload["labeling"] == "stub"
+    assert payload["version"] == __version__
     assert "p" in payload and "chi2" in payload and "verdict" in payload
 
 
@@ -159,6 +162,31 @@ def test_missing_file_is_reported(capsys):
     assert run_cli("check", "--input", "/nonexistent.dhg", "--space", "sdm") == 1
 
 
+def is_a_directory(path):
+    return f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{path}'\n"
+
+
+def test_directory_as_input_is_reported(tmp_path, capsys):
+    assert run_cli("check", "--input", str(tmp_path)) == 1
+    assert capsys.readouterr().err == is_a_directory(tmp_path)
+
+
+def test_directory_as_output_is_reported(fig_file, tmp_path, capsys):
+    code = run_cli("sample", "--input", fig_file, "--steps", "5", "--out", str(tmp_path))
+    assert code == 1
+    assert capsys.readouterr().err == is_a_directory(tmp_path)
+
+
+def test_non_utf8_input_is_reported(tmp_path, capsys):
+    path = tmp_path / "latin1.dhg"
+    path.write_bytes(FIG_INSTANCE.replace("a", "\xe9").encode("latin-1"))
+    assert run_cli("check", "--input", str(path)) == 1
+    assert capsys.readouterr().err == (
+        "error: 'utf-8' codec can't decode byte 0xe9 in position 9: "
+        "invalid continuation byte\n"
+    )
+
+
 def test_env_seed_applies(fig_file, tmp_path, monkeypatch):
     out1, out2 = tmp_path / "a.dhg", tmp_path / "b.dhg"
     monkeypatch.setenv("HYPERSHUFFLE_SEED", "99")
@@ -219,6 +247,7 @@ def test_sample_report_without_enough_cells(blocked_file, tmp_path):
         "no chi-square test: not enough cells with adequate expected counts"
     )
     assert payload["replicas"] == 1
+    assert payload["version"] == __version__
 
 
 def test_unknown_space_letter_is_a_usage_error(fig_file, capsys):

@@ -1,0 +1,140 @@
+"""Import cost: numpy and scipy load only in the functions that use them.
+
+The subprocess tests run fresh interpreters, since the test process itself
+has numpy and scipy loaded.  The chi-square tests pin ``uniformity_test``
+to ``scipy.stats.chisquare``, bit for bit.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+from scipy.stats import chisquare
+
+import hypershuffle
+from hypershuffle import serialize_dhg, uniformity_test
+from hypershuffle.validation import MIN_EXPECTED
+from conftest import D1_BLOCKED, WORKED_EXAMPLE
+
+SRC = Path(hypershuffle.__file__).resolve().parent.parent
+
+HEAVY = """
+import sys
+heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+assert not heavy, heavy
+"""
+
+
+def run_python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
+    )
+
+
+def test_package_import_loads_neither_numpy_nor_scipy():
+    proc = run_python("-c", "import hypershuffle, hypershuffle.cli\n" + HEAVY)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_check_and_enumerate_load_neither_numpy_nor_scipy(tmp_path):
+    path = tmp_path / "worked.dhg"
+    path.write_text(serialize_dhg(WORKED_EXAMPLE))
+    code = (
+        "from hypershuffle.cli import main\n"
+        f"assert main(['check', '--input', {str(path)!r}]) == 0\n"
+        f"assert main(['enumerate', '--input', {str(path)!r}]) == 0\n" + HEAVY
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "42300"
+
+
+def test_report_without_a_test_loads_neither_numpy_nor_scipy(tmp_path):
+    # One sample leaves fewer than two cells to compare: no chi-square runs.
+    path, report = tmp_path / "blocked.dhg", tmp_path / "report.json"
+    path.write_text(serialize_dhg(D1_BLOCKED))
+    argv = ["sample", "--input", str(path), "--space", "sd", "--samples", "1",
+            "--out", str(tmp_path / "s.dhg"), "--report", str(report)]
+    code = f"from hypershuffle.cli import main\nassert main({argv!r}) == 0\n" + HEAVY
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert "no chi-square test" in report.read_text()
+
+
+def test_python_m_hypershuffle_help():
+    proc = run_python("-m", "hypershuffle", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: hypershuffle ")
+    # The same module body, run where the loaded modules can be listed.
+    code = (
+        "import sys\n"
+        "sys.argv = ['hypershuffle', '--help']\n"
+        "try:\n"
+        "    import hypershuffle.__main__\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n" + HEAVY
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def reference_chisquare(counts, space, weights):
+    """Pool the cells as ``uniformity_test`` documents, then ask scipy."""
+    n = sum(counts.values())
+    total_w = sum(weights)
+    obs, exp, spill_obs, spill_exp = [], [], 0.0, 0.0
+    for key, w in zip(space, weights):
+        e = n * w / total_w
+        if e < MIN_EXPECTED:
+            spill_obs += counts.get(key, 0)
+            spill_exp += e
+        else:
+            obs.append(counts.get(key, 0))
+            exp.append(e)
+    if spill_exp > 0:
+        obs.append(spill_obs)
+        exp.append(spill_exp)
+    stat, p = chisquare(obs, exp)
+    return float(stat), float(p), len(obs) - 1
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_uniformity_test_matches_scipy_chisquare(seed):
+    rng = random.Random(seed)
+    cells = rng.randint(2, 30)
+    space = [f"1|{k}>0".encode() for k in range(cells)]
+    weights = [rng.randint(1, 20) for _ in range(cells)]
+    samples = Counter(rng.choices(space, weights, k=rng.choice([200, 1000, 5000])))
+    report = uniformity_test(samples, space, weights)
+    stat, p, dof = reference_chisquare(samples, space, weights)
+    assert (report.statistic, report.p_value, report.dof) == (stat, p, dof)
+
+
+def test_uniformity_test_matches_scipy_with_a_spill_cell():
+    # Expected counts 50, 30, 15, 3, 1.5, 0.5: the last three pool into one.
+    space = [f"1|{k}>0".encode() for k in range(6)]
+    weights = [100, 60, 30, 6, 3, 1]
+    samples = Counter(dict(zip(space, [47, 33, 12, 5, 2, 1])))
+    report = uniformity_test(samples, space, weights)
+    assert report.pooled_cells == 3 and report.dof == 3
+    stat, p, dof = reference_chisquare(samples, space, weights)
+    assert (report.statistic, report.p_value, report.dof) == (stat, p, dof)
+
+
+@pytest.mark.parametrize("weights", [[1, 1], [10, 1, 1]])
+def test_uniformity_test_matches_scipy_with_one_degree_of_freedom(weights):
+    # Two adequate cells, or one adequate cell plus a spill cell.
+    space = [f"1|{k}>0".encode() for k in range(len(weights))]
+    samples = Counter(dict(zip(space, [9, 3, 0][: len(weights)])))
+    report = uniformity_test(samples, space, weights)
+    assert report.dof == 1
+    stat, p, dof = reference_chisquare(samples, space, weights)
+    assert (report.statistic, report.p_value, report.dof) == (stat, p, dof)
