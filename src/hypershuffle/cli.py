@@ -6,6 +6,8 @@ checks), ``reproduce`` (named end-to-end verification targets) and
 ``check`` (validate a file against a space).  Exit codes: 0 pass, 1 verdict
 failure, 2 usage error.  Output is byte-deterministic under fixed seed and
 flags; the default seed comes from ``HYPERSHUFFLE_SEED`` when set.
+``sample`` picks the scalar kernel or the replica engine from its own input
+(:func:`_use_replicas`).  Output paths are opened before any work starts.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import json
 import os
 import sys
 from collections import Counter
+from contextlib import ExitStack
+from math import comb
 
 from . import __version__
 from .chains import (
@@ -48,11 +52,21 @@ from .hypergraph import (
     degree_sequence,
     in_space,
 )
+from .replicas import _run_replicas
 from .reproduce import TARGETS
 from .shuffle import ChainConfig, ChainConfigError, run_chain, spawn_seed
 from .validation import stub_pushforward_weights, uniformity_test
 
 DEFAULT_SEED_ENV = "HYPERSHUFFLE_SEED"
+
+# Bounds of the route from ``sample`` to the replica engine, measured (see
+# ``_use_replicas`` and the crossover tables in README "Performance").  On
+# the 3-arc worked example the engine wins from about 32 samples.
+_MIN_REPLICAS = 64
+# Importing numpy takes 0.08-0.11 s, as long as 10,000-13,000 scalar steps
+# on a small instance; in fresh interpreters the engines break even at
+# 10,000-15,000 steps in all.  With --report numpy loads anyway.
+_MIN_STEPS_WITHOUT_REPORT = 15_000
 
 
 def _default_seed(parser: argparse.ArgumentParser) -> int:
@@ -94,38 +108,82 @@ def _load(path: str) -> DirectedHypergraph:
         return parse_dhg(fh.read())
 
 
+def _open_file(stack: ExitStack, path: str):
+    """``path`` opened for writing, to be closed with ``stack``."""
+    return stack.enter_context(open(path, "w", encoding="utf-8"))
+
+
+def _open_out(stack: ExitStack, path: str | None):
+    """``--out`` as an open text stream: stdout when absent or ``-``."""
+    return sys.stdout if path is None or path == "-" else _open_file(stack, path)
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with ExitStack() as stack:
+        _open_out(stack, out).write(text)
+
+
+def _use_replicas(
+    H0: DirectedHypergraph, samples: int, steps: int, report: str | None
+) -> bool:
+    """Whether ``sample`` runs its samples as replicas of one engine run.
+
+    The replica engine decides each distinct outcome once, so it wins only
+    where outcomes repeat.  One step from a state draws one of at most
+    ``C(m, 2) * T * H`` outcomes: a pair of the ``m`` arc slots, then a
+    tail and a head split, ``T`` and ``H`` being the largest split counts
+    of two slots.  So the route needs at least that many samples, and
+    ``_MIN_REPLICAS``.  Without ``report`` the run must also be long enough
+    to repay importing numpy.  Alpha denominators are at most twice that
+    outcome count, so a routed run stays inside the engine's ``2**53``
+    range.
+    """
+    outcomes = comb(H0.n_arcs, 2)
+    if outcomes:
+        for side in (0, 1):
+            small, large = sorted(len(arc[side]) for arc in H0.arcs)[-2:]
+            outcomes *= comb(small + large, small)
+    if samples < max(_MIN_REPLICAS, outcomes):
+        return False
+    return report is not None or samples * steps >= _MIN_STEPS_WITHOUT_REPORT
 
 
 def cmd_sample(args) -> int:
     H0 = _load(args.input)
     spec = _spec(args)
-    docs = []
-    counts: Counter[bytes] = Counter()
-    for r in range(args.samples):
-        config = ChainConfig(
-            steps=args.steps, seed=spawn_seed(args.seed, r), spec=spec
-        )
-        result = run_chain(H0, config)
-        counts[canonical_form(result.final)] += 1
-        docs.append(f"# sample {r}\n" + serialize_dhg(result.final))
-    _emit("\n".join(docs), args.out)
-
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(_report(args, H0, spec, counts) + "\n")
+    with ExitStack() as stack:
+        out = _open_out(stack, args.out)
+        report = _open_file(stack, args.report) if args.report else None
+        if _use_replicas(H0, args.samples, args.steps, args.report):
+            engine = "replicas"
+            # numpy takes only nonnegative seeds; -1 is no scalar sample's index.
+            ids, arcs = _run_replicas(
+                H0, spec, args.steps, args.samples, spawn_seed(args.seed, -1)
+            )
+            finals = [H0.replace_arcs([arcs[k] for k in row]) for row in ids.tolist()]
+        else:
+            engine = "scalar"
+            finals = []
+            for r in range(args.samples):
+                config = ChainConfig(
+                    steps=args.steps, seed=spawn_seed(args.seed, r), spec=spec
+                )
+                finals.append(run_chain(H0, config).final)
+        docs = (f"# sample {r}\n" + serialize_dhg(H) for r, H in enumerate(finals))
+        out.write("\n".join(docs))
+        if report is not None:
+            counts = Counter(canonical_form(H) for H in finals)
+            report.write(_report(args, H0, spec, counts, engine) + "\n")
     return 0
 
 
-def _report(args, H0: DirectedHypergraph, spec: SpaceSpec, counts) -> str:
+def _report(
+    args, H0: DirectedHypergraph, spec: SpaceSpec, counts, engine: str
+) -> str:
     """The JSON uniformity report; its verdict names why a test could not run."""
     context = {
         "version": __version__,
+        "engine": engine,
         "instance": args.input,
         "spec": spec.feature_string,
         "labeling": spec.labeling,
@@ -172,31 +230,36 @@ def cmd_chain_verify(args) -> int:
     d = degree_sequence(H)
     spec = _spec(args)
     limit = STATE_LIMIT if args.limit is None else args.limit
-    if spec.labeling == "stub":
-        g = build_stub_chain(d, spec, limit=limit)
-        symmetric, witness = check_regular(g)
-    else:
-        g = build_vertex_chain(d, spec, limit=limit)
-        symmetric, witness = check_doubly_stochastic(g)
-    aperiodic = check_aperiodic(g)
-    connected, components = check_strongly_connected(g)
-    uniform = is_exactly_uniform_stationary(g)
-    lines = [
-        f"states {g.n_states}",
-        f"regular {str(symmetric).lower()}"
-        + (f" (witness {witness})" if witness else ""),
-        f"aperiodic {str(aperiodic).lower()}",
-        f"strongly-connected {str(connected).lower()} ({len(components)} components)",
-        f"uniform-stationary {str(uniform).lower()}",
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
-    if args.export_chain:
-        with open(args.export_chain, "w", encoding="utf-8") as fh:
-            fh.write(chain_edge_list(g))
-    if args.export_tv is not None:
-        curve = tv_curve(g, 0, 64 if args.steps is None else args.steps)
-        with open(args.export_tv, "w", encoding="utf-8") as fh:
-            fh.write(tv_curve_csv(curve))
+    with ExitStack() as stack:
+        out = _open_out(stack, args.out)
+        export_chain = export_tv = None
+        if args.export_chain:
+            export_chain = _open_file(stack, args.export_chain)
+        if args.export_tv is not None:
+            export_tv = _open_file(stack, args.export_tv)
+        if spec.labeling == "stub":
+            g = build_stub_chain(d, spec, limit=limit)
+            symmetric, witness = check_regular(g)
+        else:
+            g = build_vertex_chain(d, spec, limit=limit)
+            symmetric, witness = check_doubly_stochastic(g)
+        aperiodic = check_aperiodic(g)
+        connected, components = check_strongly_connected(g)
+        uniform = is_exactly_uniform_stationary(g)
+        lines = [
+            f"states {g.n_states}",
+            f"regular {str(symmetric).lower()}"
+            + (f" (witness {witness})" if witness else ""),
+            f"aperiodic {str(aperiodic).lower()}",
+            f"strongly-connected {str(connected).lower()} ({len(components)} components)",
+            f"uniform-stationary {str(uniform).lower()}",
+        ]
+        out.write("\n".join(lines) + "\n")
+        if export_chain is not None:
+            export_chain.write(chain_edge_list(g))
+        if export_tv is not None:
+            curve = tv_curve(g, 0, 64 if args.steps is None else args.steps)
+            export_tv.write(tv_curve_csv(curve))
     verdict = symmetric and aperiodic and connected and uniform
     return 0 if verdict else 1
 

@@ -15,7 +15,9 @@ once and cached, by ``shuffle._split_at`` (the split), ``_outcome_admissible``
 outcome part).  What depends on a replica's other arcs, copies of a new arc
 among the ``m - 2`` that stay and alpha's pair multiplicities, is compared
 per row as in ``_admissible`` and ``_alpha_terms``, and ``_alpha_rejects``
-thins elementwise.  Finals are tallied with ``np.unique`` over sorted rows.
+thins elementwise.  Finals are tallied with ``np.unique`` over sorted rows;
+``_run_replicas`` returns the rows themselves, from which ``hypershuffle
+sample`` builds each replica's hypergraph.
 
 When the intern table or the cache passes ``2 * R * m`` entries, the table
 is compacted to the ids in use and the cache cleared, bounding memory over
@@ -36,6 +38,7 @@ from typing import TYPE_CHECKING
 
 from .hypergraph import (
     DirectedHypergraph,
+    Hyperarc,
     SpaceSpec,
     _canonical_bytes,
     canonical_form,
@@ -74,22 +77,51 @@ def sample_replicas(
     """
     import numpy as np
 
+    ids, arcs = _run_replicas(H0, spec, steps, replicas, seed, bias_alpha_one)
+    if H0.n_arcs < 2 or steps == 0 or replicas == 0:
+        return Counter({canonical_form(H0): replicas})
+    finals, counts = np.unique(np.sort(ids, axis=1), axis=0, return_counts=True)
+    return Counter(
+        {
+            _canonical_bytes(H0.n_vertices, [arcs[k] for k in row]): count
+            for row, count in zip(finals.tolist(), counts.tolist())
+        }
+    )
+
+
+def _run_replicas(
+    H0: DirectedHypergraph,
+    spec: SpaceSpec,
+    steps: int,
+    replicas: int,
+    seed: int,
+    bias_alpha_one: bool = False,
+) -> tuple[np.ndarray, list[Hyperarc]]:
+    """The chains of :func:`sample_replicas`, as final rows and their arc table.
+
+    Row ``r`` of the ``(replicas, m)`` int64 array holds replica ``r``'s
+    final arcs as ids into the returned list, in slot order, as
+    ``run_chain`` keeps them.  With fewer than two arcs, no steps or no
+    replicas, every row is the start.
+    """
+    import numpy as np
+
     if steps < 0 or replicas < 0:
         raise ValueError("steps and replicas must be nonnegative")
     if not in_space(H0, spec, degree_sequence(H0)):
         raise ChainConfigError("start state is outside the configured space")
     m = H0.n_arcs
+    arcs = list(dict.fromkeys(H0.arcs))
+    index = {a: k for k, a in enumerate(arcs)}
+    start = np.array([index[a] for a in H0.arcs], dtype=np.int64)
+    ids = np.tile(start, (replicas, 1))
     if m < 2 or steps == 0 or replicas == 0:
-        return Counter({canonical_form(H0): replicas})
+        return ids, arcs
 
     t_size = np.array([len(t) for t, _ in H0.arcs])
     h_size = np.array([len(h) for _, h in H0.arcs])
     tail_splits, head_splits = _split_counts(t_size), _split_counts(h_size)
     thin = spec.labeling == "vertex" and not bias_alpha_one
-    arcs = list(dict.fromkeys(H0.arcs))
-    index = {a: k for k, a in enumerate(arcs)}
-    start = np.array([index[a] for a in H0.arcs], dtype=np.int64)
-    ids = np.tile(start, (replicas, 1))
     cache: dict[tuple[int, ...], tuple] = {}
 
     def intern(arc) -> int:
@@ -159,13 +191,7 @@ def sample_replicas(
             index.update((a, k) for k, a in enumerate(arcs))
             cache.clear()
 
-    finals, counts = np.unique(np.sort(ids, axis=1), axis=0, return_counts=True)
-    return Counter(
-        {
-            _canonical_bytes(H0.n_vertices, [arcs[k] for k in row]): count
-            for row, count in zip(finals.tolist(), counts.tolist())
-        }
-    )
+    return ids, arcs
 
 
 def _split_counts(sizes: np.ndarray) -> np.ndarray:

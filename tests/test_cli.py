@@ -1,6 +1,7 @@
 """Command-line behavior: verdicts, exit codes, deterministic output."""
 
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,17 @@ import sys
 
 import pytest
 
-from hypershuffle import __version__, parse_dhg, serialize_dhg, split_dhg_stream
+from hypershuffle import (
+    SpaceSpec,
+    __version__,
+    degree_sequence,
+    hypergraph,
+    in_space,
+    parse_dhg,
+    serialize_dhg,
+    split_dhg_stream,
+)
+from hypershuffle import cli
 from hypershuffle.cli import main
 from conftest import D1_BLOCKED
 
@@ -89,6 +100,7 @@ def test_sample_report_schema(fig_file, tmp_path):
     assert payload["replicas"] == 400
     assert payload["labeling"] == "stub"
     assert payload["version"] == __version__
+    assert payload["engine"] == "replicas"
     assert "p" in payload and "chi2" in payload and "verdict" in payload
 
 
@@ -248,6 +260,7 @@ def test_sample_report_without_enough_cells(blocked_file, tmp_path):
     )
     assert payload["replicas"] == 1
     assert payload["version"] == __version__
+    assert payload["engine"] == "scalar"
 
 
 def test_unknown_space_letter_is_a_usage_error(fig_file, capsys):
@@ -312,3 +325,192 @@ def test_chain_verify_negative_count_is_a_usage_error(fig_file, capsys, tmp_path
     assert stderr.startswith("usage: hypershuffle chain-verify")
     assert f"argument {flag}: must be nonnegative, got -3" in stderr
     assert not curve.exists()
+
+
+# One step draws one of C(12, 2) * C(4, 2) * C(2, 1) = 792 outcomes.
+TWELVE_ARCS = hypergraph(
+    12, [((k, (k + 1) % 12), ((k + 3) % 12,)) for k in range(12)]
+)
+# A digraph: C(5, 2) * 2 * 2 = 40 outcomes, below the sample floor.
+CYCLE_CHORD = hypergraph(4, [((k,), ((k + 1) % 4,)) for k in range(4)] + [((0,), (2,))])
+# Two equal 29-stub tails: a vertex-mode alpha denominator can pass 2**53.
+WIDE_TAILS = hypergraph(2, [((0,) * 29, (1,)), ((0,) * 29, (1,))])
+INSTANCES = {
+    "fig": parse_dhg(FIG_INSTANCE),
+    "twelve": TWELVE_ARCS,
+    "cycle": CYCLE_CHORD,
+    "wide": WIDE_TAILS,
+    "one": hypergraph(2, [((0,), (1,))]),
+}
+
+
+@pytest.fixture
+def instance_file(tmp_path):
+    def write(name):
+        path = tmp_path / f"{name}.dhg"
+        path.write_text(FIG_INSTANCE if name == "fig" else serialize_dhg(INSTANCES[name]))
+        return str(path)
+    return write
+
+
+class TestRouting:
+    """``_use_replicas`` at each of its boundaries."""
+
+    floor = cli._MIN_REPLICAS
+    steps = cli._MIN_STEPS_WITHOUT_REPORT
+
+    def test_sample_floor(self):
+        fig = INSTANCES["fig"]
+        assert not cli._use_replicas(fig, self.floor - 1, 10**6, "r.json")
+        assert cli._use_replicas(fig, self.floor, 0, "r.json")
+        assert not cli._use_replicas(fig, self.floor - 1, 10**6, None)
+        assert cli._use_replicas(fig, self.floor, 10**6, None)
+
+    def test_outcome_count(self):
+        outcomes = 792
+        assert outcomes > self.floor
+        assert not cli._use_replicas(TWELVE_ARCS, outcomes - 1, 10**6, "r.json")
+        assert cli._use_replicas(TWELVE_ARCS, outcomes, 10**6, "r.json")
+
+    def test_steps_without_report(self):
+        fig, samples = INSTANCES["fig"], 2 * self.floor
+        steps = -(-self.steps // samples)
+        assert not cli._use_replicas(fig, samples, steps - 1, None)
+        assert cli._use_replicas(fig, samples, steps, None)
+        assert cli._use_replicas(fig, samples, 0, "r.json")
+
+    def test_fewer_than_two_arcs(self):
+        assert cli._use_replicas(INSTANCES["one"], self.floor, 0, "r.json")
+
+    def test_engine_integer_range(self):
+        # 2 * C(58, 29) outcomes: more than any sample count that fits in memory.
+        assert not cli._use_replicas(WIDE_TAILS, 2**40, 10**6, "r.json")
+
+
+# SHA-256 of the `sample --out` bytes.  The scalar cases were recorded
+# before `sample` could route to the replica engine and must not change;
+# the replica cases pin that engine's fixed-seed stream.
+SAMPLE_PINS = [
+    ("scalar", "fig", ["--steps", "50", "--samples", "5", "--seed", "123"], False,
+     "e0a4cf5a8fac7a6af7a198e3a028dfae4bccf0fd0951dc8811b5a72d7cc8b775"),
+    ("scalar", "fig", ["--labeling", "vertex", "--steps", "40", "--samples", "63",
+                       "--seed", "7"], True,
+     "3e0da951275c0ef6b7574a8ce3212cf1d11159603e0bdb5bb602f292b87cf7fe"),
+    ("scalar", "fig", ["--steps", "10", "--samples", "100", "--seed", "-3"], False,
+     "fcbe5df6f1039f2f9401657d86678463d61ddcdcfeb40ccf838ade7734416ab4"),
+    ("scalar", "twelve", ["--labeling", "vertex", "--space", "", "--steps", "300",
+                          "--samples", "65", "--seed", "11"], False,
+     "6b2af51685c605eff35ab74498dcc29e2c768034c41cdc8f69e46d156c721dfe"),
+    ("replicas", "fig", ["--steps", "300", "--samples", "64", "--seed", "5"], False,
+     "1ea95d2ce4c3231a19dbe1f8e16e59d6fb1b073805fb4e9b11932b83f3becf49"),
+    ("replicas", "fig", ["--labeling", "vertex", "--steps", "20", "--samples", "100",
+                         "--seed", "9"], True,
+     "8045c173d0e1e20062d775cc5d4ea6fc44bf69010e44566152b70a3f3a6b0741"),
+    ("replicas", "fig", ["--samples", "100", "--seed", "-3"], False,
+     "6f2418fb5768f0c6d32281cc188e098182ac44460b5125aa54384deab238cb9b"),
+    ("replicas", "cycle", ["--labeling", "vertex", "--space", "", "--steps", "40",
+                           "--samples", "80", "--seed", "2"], True,
+     "8601d6449afd7413a3117d8ed5e905461285795af2e23d372aad64b58b34374b"),
+]
+
+
+@pytest.mark.parametrize(
+    "engine, name, argv, report, digest", SAMPLE_PINS,
+    ids=[f"{engine}-{name}-{' '.join(argv)}{' --report' if report else ''}"
+         for engine, name, argv, report, _ in SAMPLE_PINS],
+)
+def test_sample_output_pins(instance_file, tmp_path, engine, name, argv, report, digest):
+    opts = dict(zip(argv[::2], argv[1::2]))
+    routed = cli._use_replicas(INSTANCES[name], int(opts["--samples"]),
+                               int(opts.get("--steps", 1000)), "r.json" if report else None)
+    assert routed == (engine == "replicas")
+    out, report_path = tmp_path / "s.dhg", tmp_path / "r.json"
+    extra = ["--report", str(report_path)] if report else []
+    assert run_cli("sample", "--input", instance_file(name), "--out", str(out),
+                   *argv, *extra) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_negative_seed_on_the_replica_route(fig_file, tmp_path, monkeypatch):
+    # numpy rejects negative seeds; the route derives a nonnegative one.
+    argv = ["sample", "--input", fig_file, "--samples", "100"]
+    assert cli._use_replicas(INSTANCES["fig"], 100, 1000, None)
+    outputs = []
+    for k, seed_args in enumerate((["--seed", "-3"], ["--seed", "-3"], [])):
+        out = tmp_path / f"{k}.dhg"
+        if not seed_args:
+            monkeypatch.setenv("HYPERSHUFFLE_SEED", "-3")
+        assert run_cli(*argv, *seed_args, "--out", str(out)) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(split_dhg_stream(outputs[0].decode())) == 100
+
+
+# Nothing moves with no steps, or with one arc: every sample is the input.
+@pytest.mark.parametrize("name, steps", [("fig", 0), ("one", 20)])
+def test_replica_route_without_moves_emits_input(instance_file, tmp_path, name, steps):
+    out, report = tmp_path / "s.dhg", tmp_path / "r.json"
+    samples = cli._MIN_REPLICAS
+    path = instance_file(name)
+    code = run_cli("sample", "--input", path, "--steps", str(steps),
+                   "--samples", str(samples), "--out", str(out),
+                   "--report", str(report))
+    assert code == 0
+    assert json.loads(report.read_text())["engine"] == "replicas"
+    docs = split_dhg_stream(out.read_text())
+    assert len(docs) == samples
+    original = serialize_dhg(INSTANCES[name])
+    assert all(serialize_dhg(parse_dhg(doc)) == original for doc in docs)
+
+
+@pytest.mark.parametrize("name, labeling, features", [
+    ("fig", "stub", "sdm"), ("fig", "vertex", "d"), ("cycle", "vertex", ""),
+])
+def test_replica_route_samples_are_in_space(instance_file, tmp_path, name,
+                                            labeling, features):
+    out, report = tmp_path / "s.dhg", tmp_path / "r.json"
+    code = run_cli("sample", "--input", instance_file(name), "--labeling", labeling,
+                   "--space", features, "--steps", "50", "--samples", "70",
+                   "--seed", "4", "--out", str(out), "--report", str(report))
+    assert code == 0
+    assert json.loads(report.read_text())["engine"] == "replicas"
+    spec = SpaceSpec.from_string(features, labeling)
+    d = degree_sequence(INSTANCES[name])
+    docs = split_dhg_stream(out.read_text())
+    assert len(docs) == 70
+    assert all(in_space(parse_dhg(doc), spec, d) for doc in docs)
+
+
+def test_instance_past_the_engine_range_stays_scalar(instance_file, tmp_path):
+    report = tmp_path / "r.json"
+    code = run_cli("sample", "--input", instance_file("wide"), "--labeling", "vertex",
+                   "--steps", "1", "--samples", str(cli._MIN_REPLICAS),
+                   "--out", str(tmp_path / "s.dhg"), "--report", str(report))
+    assert code == 0
+    assert json.loads(report.read_text())["engine"] == "scalar"
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("ran before the output paths were checked")
+
+
+@pytest.mark.parametrize("samples", ["5", "200"])
+@pytest.mark.parametrize("flag", ["--out", "--report"])
+def test_sample_checks_output_paths_first(fig_file, tmp_path, capsys, monkeypatch,
+                                          flag, samples):
+    monkeypatch.setattr(cli, "run_chain", refuse)
+    monkeypatch.setattr(cli, "_run_replicas", refuse)
+    other = "--report" if flag == "--out" else "--out"
+    code = run_cli("sample", "--input", fig_file, "--samples", samples,
+                   other, str(tmp_path / "other"), flag, str(tmp_path))
+    assert code == 1
+    assert capsys.readouterr().err == is_a_directory(tmp_path)
+
+
+@pytest.mark.parametrize("flag", ["--out", "--export-chain", "--export-tv"])
+def test_chain_verify_checks_output_paths_first(fig_file, tmp_path, capsys,
+                                                monkeypatch, flag):
+    monkeypatch.setattr(cli, "build_stub_chain", refuse)
+    code = run_cli("chain-verify", "--input", fig_file, flag, str(tmp_path))
+    assert code == 1
+    assert capsys.readouterr().err == is_a_directory(tmp_path)

@@ -17,6 +17,7 @@ from scipy.stats import chisquare
 
 import hypershuffle
 from hypershuffle import serialize_dhg, uniformity_test
+from hypershuffle.cli import _use_replicas
 from hypershuffle.validation import MIN_EXPECTED
 from conftest import D1_BLOCKED, WORKED_EXAMPLE
 
@@ -67,6 +68,21 @@ def test_report_without_a_test_loads_neither_numpy_nor_scipy(tmp_path):
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert "no chi-square test" in report.read_text()
+
+
+def test_sample_kept_on_the_scalar_engine_loads_neither_numpy_nor_scipy(tmp_path):
+    # Enough samples for the replica engine, but too few steps in all to
+    # repay importing numpy, and no report.
+    assert _use_replicas(D1_BLOCKED, 100, 1000, None)
+    assert not _use_replicas(D1_BLOCKED, 100, 10, None)
+    path = tmp_path / "blocked.dhg"
+    path.write_text(serialize_dhg(D1_BLOCKED))
+    argv = ["sample", "--input", str(path), "--space", "sd", "--samples", "100",
+            "--steps", "10", "--out", str(tmp_path / "s.dhg")]
+    code = f"from hypershuffle.cli import main\nassert main({argv!r}) == 0\n" + HEAVY
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "s.dhg").read_text().count("# sample ") == 100
 
 
 def test_python_m_hypershuffle_help():

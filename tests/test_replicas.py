@@ -1,5 +1,6 @@
 """Vectorized replica engine: agreement with the exact kernel law."""
 
+import hashlib
 from itertools import combinations
 
 import numpy as np
@@ -271,3 +272,45 @@ def decode(key: bytes):
     H = hypergraph(int(n), arcs)
     assert _canonical_bytes(H.n_vertices, H.arcs) == key
     return H
+
+
+# SHA-256 of repr(list(tally.items())), recorded before the step loop moved
+# into a private function: keys, counts and their order are all pinned.
+TWELVE_ARCS = hypergraph(
+    12, [((k, (k + 1) % 12), ((k + 3) % 12,)) for k in range(12)]
+)
+TALLY_PINS = [
+    ("fig-sdm-stub", "sdm", "stub", 20, 2000, 7,
+     "31ce829a27b3d4d218c850886445821069dda578d50f91bebd956948f41c83e2"),
+    ("fig-sm-stub", "sm", "stub", 15, 300, 3,
+     "3d29f50c00df5b077ffa08e6386b437be9ec005d925f35d232306a03067dc433"),
+    ("fig-dm-vertex", "dm", "vertex", 30, 500, 11,
+     "47044fae75d8892011aaeda3e347d6ae8606293f02ec3b704fefc9609c05fb01"),
+    ("doubled-dm-vertex", "dm", "vertex", 30, 500, 12,
+     "c450b4c7e81f11612cfc2b7dc2aab303fae2cf8d7271a14b1797fd4470ae5975"),
+    ("twelve-none-vertex", "", "vertex", 40, 100, 13,
+     "6deb7284559f8a110a1774277e4b078f85877cee095b16a1e22fa9c56d3a6881"),
+]
+
+
+def pin_start(name):
+    """The start of a pinned run; the ``dm`` ones hold a multi-arc."""
+    dm = SpaceSpec.from_string("dm", "vertex")
+    if name.startswith("fig-dm"):
+        return build_vertex_chain(FIG_DEGREES, dm).states[3]
+    if name.startswith("doubled"):
+        return build_vertex_chain(degree_sequence(DOUBLED_ARC), dm).states[5]
+    if name.startswith("twelve"):
+        return TWELVE_ARCS
+    return enumerate_vertex_space(FIG_DEGREES, SDM)[0]
+
+
+@pytest.mark.parametrize(
+    "name, features, labeling, steps, replicas, seed, digest",
+    TALLY_PINS, ids=[pin[0] for pin in TALLY_PINS],
+)
+def test_fixed_seed_tally_pins(name, features, labeling, steps, replicas, seed, digest):
+    spec = SpaceSpec.from_string(features, labeling)
+    counts = sample_replicas(pin_start(name), spec, steps, replicas, seed)
+    tally = repr(list(counts.items())).encode()
+    assert hashlib.sha256(tally).hexdigest() == digest
