@@ -128,15 +128,17 @@ def _use_replicas(
 ) -> bool:
     """Whether ``sample`` runs its samples as replicas of one engine run.
 
-    The replica engine decides each distinct outcome once, so it wins only
-    where outcomes repeat.  One step from a state draws one of at most
-    ``C(m, 2) * T * H`` outcomes: a pair of the ``m`` arc slots, then a
-    tail and a head split, ``T`` and ``H`` being the largest split counts
-    of two slots.  So the route needs at least that many samples, and
-    ``_MIN_REPLICAS``.  Without ``report`` the run must also be long enough
-    to repay importing numpy.  Alpha denominators are at most twice that
-    outcome count, so a routed run stays inside the engine's ``2**53``
-    range.
+    The replica engine decides each distinct outcome once, and on a small
+    outcome space looks the repeats up in one gather over a packed-code
+    table; ``sample`` then writes and canonicalizes each distinct final row
+    once.  So it wins only where outcomes repeat.  One step from a state
+    draws one of at most ``C(m, 2) * T * H`` outcomes: a pair of the ``m``
+    arc slots, then a tail and a head split, ``T`` and ``H`` being the
+    largest split counts of two slots.  So the route needs at least that
+    many samples, and ``_MIN_REPLICAS``.  Without ``report`` the run must
+    also be long enough to repay importing numpy.  Alpha denominators are
+    at most twice that outcome count, so a routed run stays inside the
+    engine's ``2**53`` range.
     """
     outcomes = comb(H0.n_arcs, 2)
     if outcomes:
@@ -154,13 +156,19 @@ def cmd_sample(args) -> int:
     with ExitStack() as stack:
         out = _open_out(stack, args.out)
         report = _open_file(stack, args.report) if args.report else None
+        # finals[which[r]] is sample r; the replica route builds, writes
+        # and canonicalizes each distinct final row once.
         if _use_replicas(H0, args.samples, args.steps, args.report):
+            import numpy as np
+
             engine = "replicas"
             # numpy takes only nonnegative seeds; -1 is no scalar sample's index.
             ids, arcs = _run_replicas(
                 H0, spec, args.steps, args.samples, spawn_seed(args.seed, -1)
             )
-            finals = [H0.replace_arcs([arcs[k] for k in row]) for row in ids.tolist()]
+            rows, which = np.unique(ids, axis=0, return_inverse=True)
+            finals = [H0.replace_arcs([arcs[k] for k in row]) for row in rows.tolist()]
+            which = which.reshape(-1).tolist()
         else:
             engine = "scalar"
             finals = []
@@ -169,10 +177,12 @@ def cmd_sample(args) -> int:
                     steps=args.steps, seed=spawn_seed(args.seed, r), spec=spec
                 )
                 finals.append(run_chain(H0, config).final)
-        docs = (f"# sample {r}\n" + serialize_dhg(H) for r, H in enumerate(finals))
-        out.write("\n".join(docs))
+            which = range(args.samples)
+        texts = [serialize_dhg(H) for H in finals]
+        out.write("\n".join(f"# sample {r}\n" + texts[k] for r, k in enumerate(which)))
         if report is not None:
-            counts = Counter(canonical_form(H) for H in finals)
+            forms = [canonical_form(H) for H in finals]
+            counts = Counter(forms[k] for k in which)
             report.write(_report(args, H0, spec, counts, engine) + "\n")
     return 0
 

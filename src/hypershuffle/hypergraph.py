@@ -72,6 +72,20 @@ class DirectedHypergraph:
     def replace_arcs(self, arcs: Sequence[Hyperarc]) -> "DirectedHypergraph":
         return DirectedHypergraph(self.n_vertices, tuple(arcs), self.labels)
 
+    def _replace_normalized_arcs(
+        self, arcs: tuple[Hyperarc, ...]
+    ) -> "DirectedHypergraph":
+        """:meth:`replace_arcs` without validation, for trusted arcs only.
+
+        Every tail and head must already be a sorted tuple of vertices in
+        range, as a shuffle of this hypergraph's own arcs deals them.
+        """
+        H = object.__new__(DirectedHypergraph)
+        object.__setattr__(H, "n_vertices", self.n_vertices)
+        object.__setattr__(H, "arcs", arcs)
+        object.__setattr__(H, "labels", self.labels)
+        return H
+
 
 def hypergraph(
     n_vertices: int,

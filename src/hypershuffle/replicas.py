@@ -8,23 +8,38 @@ per-run intern table (arc list plus arc-to-id dict), so a step's cost does
 not grow with the vertex count.  Per step every replica draws, in order,
 positions ``i < j`` as ``shuffle._draw_proposal`` does, a tail-split index
 in ``[0, C(t_i + t_j, t_i))``, a head-split index likewise and, in vertex
-mode, the thinning uniform.  One ``np.lexsort`` groups replicas by outcome
-``(id_i, id_j, tail index, head index)``; each distinct outcome is evaluated
-once and cached, by ``shuffle._split_at`` (the split), ``_outcome_admissible``
-(self-loop, degenerate, ``arc_a == arc_b``) and ``_alpha_outcome`` (alpha's
-outcome part).  What depends on a replica's other arcs, copies of a new arc
-among the ``m - 2`` that stay and alpha's pair multiplicities, is compared
-per row as in ``_admissible`` and ``_alpha_terms``, and ``_alpha_rejects``
-thins elementwise.  Finals are tallied with ``np.unique`` over sorted rows;
-``_run_replicas`` returns the rows themselves, from which ``hypershuffle
-sample`` builds each replica's hypergraph.
+mode, the thinning uniform.  Each distinct outcome ``(id_i, id_j, tail
+index, head index)`` is evaluated once and cached, by ``shuffle._split_at``
+(the split), ``_outcome_admissible`` (self-loop, degenerate, ``arc_a ==
+arc_b``) and ``_alpha_outcome`` (alpha's outcome part).  What depends on a
+replica's other arcs, copies of a new arc among the ``m - 2`` that stay and
+alpha's pair multiplicities, is compared per row as in ``_admissible`` and
+``_alpha_terms``, and ``_alpha_rejects`` thins elementwise.  Finals are
+tallied with ``np.unique`` over sorted rows; ``_run_replicas`` returns the
+rows themselves, from which ``hypershuffle sample`` builds the samples.
+
+Replicas find their outcomes one of two ways.  Where the outcome space is
+small, each outcome packs into one code ``((head * T + tail) * K + id_j) *
+K + id_i``, with ``T`` and ``H`` the largest tail and head split counts
+and ``K`` a power of two at least the intern table's size, and a dense
+table indexed by code mirrors the cache: a step is one gather, and only
+the codes not yet in it are evaluated.  The table is used while its
+``K * K * T * H`` entries stay within ``_TABLE_PER_REPLICA`` per replica;
+``K`` doubles, re-packing the cache, as the intern table grows past it.
+Otherwise one ``np.lexsort`` groups the replicas by outcome and each group
+looks the cache up; this is also the path for codes of ``2**63`` or more,
+and it takes over mid-run when ``K`` outgrows the bound.  Ascending code
+order is the lexsort order (head index, then tail index, then ``id_j``,
+then ``id_i``), so both paths evaluate new outcomes, and intern new arcs,
+in the same order, and give the same ids, rows and tallies.
 
 When the intern table or the cache passes ``2 * R * m`` entries, the table
-is compacted to the ids in use and the cache cleared, bounding memory over
-any number of steps.  Limits raise ``ValueError`` rather than round: a slot
-pair with ``2**63`` or more splits, past the int64 index draw (checked
-before stepping), and in vertex mode an alpha denominator of ``2**53`` or
-more, finer than the 53-bit thinning uniform (checked when drawn).
+is compacted to the ids in use and the cache and the outcome table are
+cleared, bounding memory over any number of steps; the path is then chosen
+afresh.  Limits raise ``ValueError`` rather than round: a slot pair with
+``2**63`` or more splits, past the int64 index draw (checked before
+stepping), and in vertex mode an alpha denominator of ``2**53`` or more,
+finer than the 53-bit thinning uniform (checked when drawn).
 
 Randomness comes from ``numpy.random.Generator`` (PCG64) seeded once, so a
 given (start, spec, steps, replicas, seed) is reproducible bit for bit.
@@ -59,6 +74,9 @@ if TYPE_CHECKING:
 
 _INDEX_LIMIT = 1 << 63
 _ALPHA_DEN_LIMIT = 1 << _RANDOM_BITS
+# Largest outcome table, in entries per replica, so that building or
+# clearing it costs about as much as a few steps over all replicas.
+_TABLE_PER_REPLICA = 16
 
 
 def sample_replicas(
@@ -78,7 +96,9 @@ def sample_replicas(
     import numpy as np
 
     ids, arcs = _run_replicas(H0, spec, steps, replicas, seed, bias_alpha_one)
-    if H0.n_arcs < 2 or steps == 0 or replicas == 0:
+    if replicas == 0:
+        return Counter()
+    if H0.n_arcs < 2 or steps == 0:
         return Counter({canonical_form(H0): replicas})
     finals, counts = np.unique(np.sort(ids, axis=1), axis=0, return_counts=True)
     return Counter(
@@ -121,8 +141,11 @@ def _run_replicas(
     t_size = np.array([len(t) for t, _ in H0.arcs])
     h_size = np.array([len(h) for _, h in H0.arcs])
     tail_splits, head_splits = _split_counts(t_size), _split_counts(h_size)
+    tails, heads = int(tail_splits.max()), int(head_splits.max())
     thin = spec.labeling == "vertex" and not bias_alpha_one
     cache: dict[tuple[int, ...], tuple] = {}
+    table: np.ndarray | None = None
+    capacity = 0
 
     def intern(arc) -> int:
         if arc not in index:
@@ -141,6 +164,56 @@ def _run_replicas(
         cache[key] = (intern(arc_a), intern(arc_b), ok, num, min(den, _ALPHA_DEN_LIMIT))
         return cache[key]
 
+    def pack(id_a, id_b, tail_index, head_index):
+        return ((head_index * tails + tail_index) * capacity + id_b) * capacity + id_a
+
+    def unpack(code: int) -> tuple[int, ...]:
+        rest, id_a = divmod(code, capacity)
+        rest, id_b = divmod(rest, capacity)
+        head_index, tail_index = divmod(rest, tails)
+        return id_a, id_b, tail_index, head_index
+
+    def rebuild() -> None:
+        """Size the table to the intern table and fill it from the cache.
+
+        No table when it would pass ``_TABLE_PER_REPLICA`` entries per
+        replica, or hold codes of ``2**63`` or more.
+        """
+        nonlocal table, capacity
+        capacity = 1 << (len(arcs) - 1).bit_length()
+        size = capacity * capacity * tails * heads
+        table = None
+        if size <= min(_TABLE_PER_REPLICA * replicas, _INDEX_LIMIT):
+            table = np.zeros((5, size), dtype=np.int64)
+            if cache:
+                keys = np.array(list(cache), dtype=np.int64).T
+                table[:, pack(*keys)] = np.array(list(cache.values()), dtype=np.int64).T
+
+    def looked_up(id_a, id_b, tail_index, head_index) -> np.ndarray:
+        code = pack(id_a, id_b, tail_index, head_index)
+        columns = table[:, code]
+        unknown = columns[4] == 0  # every evaluated outcome has den >= 1
+        if unknown.any():
+            for c in np.unique(code[unknown]).tolist():
+                table[:, c] = evaluate(unpack(c))
+            columns = table[:, code]
+            if len(arcs) > capacity:
+                rebuild()
+        return columns
+
+    def lexsorted(id_a, id_b, tail_index, head_index) -> list[np.ndarray]:
+        keys = np.stack([id_a, id_b, tail_index, head_index])
+        order = np.lexsort(keys)
+        ordered = keys[:, order]
+        first = np.ones(replicas, dtype=bool)
+        first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+        group = np.empty(replicas, dtype=np.int64)
+        group[order] = np.cumsum(first) - 1
+        distinct = zip(*ordered[:, first].tolist())
+        outcomes = [cache.get(key) or evaluate(key) for key in distinct]
+        return [np.array(c)[group] for c in zip(*outcomes)]
+
+    rebuild()
     rng = np.random.default_rng(seed)
     rows = np.arange(replicas)
     for _ in range(steps):
@@ -153,16 +226,9 @@ def _run_replicas(
         head_index = rng.integers(0, head_splits[h_size[lo], h_size[hi]])
         u = rng.random(replicas) if thin else None
 
-        keys = np.stack([id_a, id_b, tail_index, head_index])
-        order = np.lexsort(keys)
-        ordered = keys[:, order]
-        first = np.ones(replicas, dtype=bool)
-        first[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-        group = np.empty(replicas, dtype=np.int64)
-        group[order] = np.cumsum(first) - 1
-        distinct = zip(*ordered[:, first].tolist())
-        outcomes = [cache.get(key) or evaluate(key) for key in distinct]
-        new_a, new_b, accept, num, den = (np.array(c)[group] for c in zip(*outcomes))
+        outcome = looked_up if table is not None else lexsorted
+        new_a, new_b, ok, num, den = outcome(id_a, id_b, tail_index, head_index)
+        accept = ok == 1
 
         if not spec.allow_multi:
             for new in (new_a, new_b):
@@ -190,6 +256,7 @@ def _run_replicas(
             index.clear()
             index.update((a, k) for k, a in enumerate(arcs))
             cache.clear()
+            rebuild()
 
     return ids, arcs
 
@@ -198,7 +265,8 @@ def _split_counts(sizes: np.ndarray) -> np.ndarray:
     """``C(s + t, s)`` at ``[s, t]`` for the sizes ``s, t`` of any two slots.
 
     ``ValueError`` at ``2**63`` or more, past the int64 index draw; the
-    largest count is at the two largest sizes.  Unused entries are clipped.
+    largest count is at the two largest sizes.  Pairs of sizes that no two
+    slots have are 0, so the largest entry is the largest count a step draws.
     """
     import numpy as np
 
@@ -208,8 +276,10 @@ def _split_counts(sizes: np.ndarray) -> np.ndarray:
             f"a {s + t}-stub pool has {comb(s + t, s)} splits, "
             "past the 2**63 the replica engine's index draw covers"
         )
+    slots = Counter(sizes.tolist())
     table = np.zeros((s + 1, s + 1), dtype=np.int64)
-    for a in set(sizes.tolist()):
-        for b in set(sizes.tolist()):
-            table[a, b] = min(comb(a + b, a), _INDEX_LIMIT - 1)
+    for a in slots:
+        for b in slots:
+            if a != b or slots[a] > 1:
+                table[a, b] = comb(a + b, a)
     return table

@@ -322,16 +322,24 @@ def step(
     """One chain step: propose, thin by alpha in vertex mode, apply.
 
     Rejections of either kind leave the state unchanged but still consume
-    exactly one step, so the chain keeps its self-loop mass.
+    exactly one step, so the chain keeps its self-loop mass.  The successor
+    is built without re-validating its arcs, which the shuffle dealt from
+    ``H``'s own; :func:`apply_shuffle` validates, for hand-built proposals.
     """
     p = propose(H, rng)
+    a, b = H.arcs[p.arc_i], H.arcs[p.arc_j]
+    arc_a, arc_b = proposed_arcs(p)
     if spec.labeling == "vertex":
         u = rng.random()
-        a, b = H.arcs[p.arc_i], H.arcs[p.arc_j]
-        if _alpha_rejects(u, *_alpha_terms(a, b, *proposed_arcs(p), H.arcs.count)):
+        if _alpha_rejects(u, *_alpha_terms(a, b, arc_a, arc_b, H.arcs.count)):
             return H
-    H2, _ = apply_shuffle(H, p, spec)
-    return H2
+    if not _admissible(a, b, arc_a, arc_b, spec, H.arcs.count):
+        return H
+    new_arcs = list(H.arcs)
+    new_arcs[p.arc_i] = arc_a
+    new_arcs[p.arc_j] = arc_b
+    # _draw_proposal deals sorted tuples of this hypergraph's own vertices.
+    return H._replace_normalized_arcs(tuple(new_arcs))
 
 
 @dataclass(frozen=True)

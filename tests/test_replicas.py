@@ -1,12 +1,15 @@
 """Vectorized replica engine: agreement with the exact kernel law."""
 
 import hashlib
+import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from hypershuffle import replicas as engine
 from hypershuffle import (
     ChainConfigError,
     SpaceSpec,
@@ -20,9 +23,9 @@ from hypershuffle import (
     sample_replicas,
     stub_state_to_hypergraph,
 )
-from hypershuffle.hypergraph import _canonical_bytes
+from hypershuffle.hypergraph import ALL_FEATURE_SETS, _canonical_bytes
 from hypershuffle.shuffle import _unrank_split
-from conftest import D1_BLOCKED, FIG_DEGREES
+from conftest import D1_BLOCKED, FIG_DEGREES, random_instance
 
 SDM = SpaceSpec.from_string("sdm")
 DOUBLED_ARC = hypergraph(3, [((0, 1), (2,)), ((0, 1), (2,)), ((2,), (0,))])
@@ -126,9 +129,11 @@ class TestEngineBasics:
         assert counts == {canonical_form(space[0]): 123}
 
     def test_zero_replicas_count_nothing(self):
-        space = enumerate_vertex_space(FIG_DEGREES, SDM)
-        counts = sample_replicas(space[0], SDM, steps=5, replicas=0, seed=1)
-        assert sum(counts.values()) == 0
+        one_arc = hypergraph(2, [((0,), (1,))])
+        for start in (enumerate_vertex_space(FIG_DEGREES, SDM)[0], one_arc):
+            counts = sample_replicas(start, SDM, steps=5, replicas=0, seed=1)
+            # Counter equality ignores zero counts; a zero-count key is a final.
+            assert counts == Counter() and len(counts) == 0
 
     @pytest.mark.parametrize("steps, replicas", [(-1, 10), (1, -1)])
     def test_negative_counts_rejected(self, steps, replicas):
@@ -314,3 +319,105 @@ def test_fixed_seed_tally_pins(name, features, labeling, steps, replicas, seed, 
     counts = sample_replicas(pin_start(name), spec, steps, replicas, seed)
     tally = repr(list(counts.items())).encode()
     assert hashlib.sha256(tally).hexdigest() == digest
+
+
+# The outcome table and the lexsort path must give the same rows, arc table
+# and tally order; ``_TABLE_PER_REPLICA`` picks between them, so setting it
+# forces a path: 0 never builds a table, a large bound always does.
+LEXSORT_ONLY, TABLE_ALWAYS = 0, 1 << 30
+DEFAULT_BOUND = engine._TABLE_PER_REPLICA
+
+
+def engine_run(monkeypatch, bound, start, spec, steps, replicas, seed):
+    """Rows, arcs and tally items of one run, and its per-step ``np.lexsort``
+    and compaction (``np.unique`` with an inverse) call counts."""
+    lexsort, unique, calls = np.lexsort, np.unique, Counter()
+
+    def counting_lexsort(*args, **kwargs):
+        calls["lexsort"] += 1
+        return lexsort(*args, **kwargs)
+
+    def counting_unique(*args, **kwargs):
+        calls["compaction"] += bool(kwargs.get("return_inverse"))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_TABLE_PER_REPLICA", bound)
+    monkeypatch.setattr(np, "lexsort", counting_lexsort)
+    monkeypatch.setattr(np, "unique", counting_unique)
+    ids, arcs = engine._run_replicas(start, spec, steps, replicas, seed)
+    run_calls = Counter(calls)
+    tally = sample_replicas(start, spec, steps, replicas, seed)
+    monkeypatch.undo()
+    return (ids.tolist(), arcs, list(tally.items())), run_calls
+
+
+def sweep_cases():
+    """Seeded runs for all 8 feature sets x 2 labelings x 2 self-loop rules."""
+    rng = random.Random(920)
+    cases = []
+    for features in ALL_FEATURE_SETS:
+        for labeling in ("stub", "vertex"):
+            for overlap in (False, True):
+                spec = SpaceSpec.from_string(features, labeling, overlap)
+                start = random_instance(rng, max_vertices=3, max_arcs=5, max_side=2)
+                while not in_space(start, spec, degree_sequence(start)):
+                    start = random_instance(rng, max_vertices=3, max_arcs=5, max_side=2)
+                steps, replicas = rng.randint(1, 30), rng.choice([1, 3, 40, 200])
+                cases.append((start, spec, steps, replicas, rng.randrange(10**6)))
+    return cases
+
+
+SWEEP_CASES = sweep_cases()
+
+
+class TestOutcomeTable:
+    @pytest.mark.parametrize("case", range(len(SWEEP_CASES)))
+    def test_both_paths_agree(self, monkeypatch, case):
+        start, spec, steps, replicas, seed = SWEEP_CASES[case]
+        runs = [
+            engine_run(monkeypatch, bound, start, spec, steps, replicas, seed)
+            for bound in (LEXSORT_ONLY, TABLE_ALWAYS, DEFAULT_BOUND)
+        ]
+        (lexsorted, lexsort_calls), (tabled, table_calls), (default, _) = runs
+        assert lexsort_calls["lexsort"] == steps
+        assert table_calls["lexsort"] == 0
+        assert tabled == lexsorted
+        assert default == lexsorted
+
+    def test_hand_over_to_lexsort_mid_run(self, monkeypatch):
+        # At 32 entries per replica the twelve-arc start's 16-id table fits;
+        # its intern table then passes 16 arcs and the table would not.
+        spec = SpaceSpec.from_string("", "vertex")
+        args = (TWELVE_ARCS, spec, 40, 100, 13)
+        handed, calls = engine_run(monkeypatch, 32, *args)
+        lexsorted, _ = engine_run(monkeypatch, LEXSORT_ONLY, *args)
+        assert 0 < calls["lexsort"] < 40
+        assert handed == lexsorted
+
+    def test_compaction_on_the_table_path(self, monkeypatch):
+        # Two replicas compact past 2 * 2 * 3 outcomes, over and over.
+        spec = SpaceSpec.from_string("sdm", "vertex")
+        args = (enumerate_vertex_space(FIG_DEGREES, SDM)[0], spec, 300, 2, 921)
+        tabled, calls = engine_run(monkeypatch, TABLE_ALWAYS, *args)
+        lexsorted, _ = engine_run(monkeypatch, LEXSORT_ONLY, *args)
+        assert calls["lexsort"] == 0
+        assert calls["compaction"] >= 2
+        assert tabled == lexsorted
+
+    @pytest.mark.parametrize("labeling", ["stub", "vertex"])
+    def test_worked_example_never_sorts(self, monkeypatch, labeling):
+        spec = SpaceSpec.from_string("sdm", labeling)
+        start = enumerate_vertex_space(FIG_DEGREES, SDM)[0]
+        _, calls = engine_run(monkeypatch, DEFAULT_BOUND, start, spec, 100, 200, 922)
+        assert calls["lexsort"] == 0
+
+    def test_codes_past_int64_stay_on_lexsort(self, monkeypatch):
+        # C(66, 33) tail splits times 2 head splits times 2 * 2 arc-id
+        # pairs reach 2**63, so even an unbounded table is not built.
+        H = hypergraph(3, [((0,) * 33, (2,)), ((1,) * 33, (2,))])
+        (rows, arcs, tally), calls = engine_run(monkeypatch, 1 << 64, H, SDM, 3, 10, 923)
+        assert calls["lexsort"] == 3
+        assert sum(count for _, count in tally) == 10
+        d = degree_sequence(H)
+        for row in rows:
+            assert in_space(H.replace_arcs([arcs[k] for k in row]), SDM, d)
