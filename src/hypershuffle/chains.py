@@ -2,18 +2,23 @@
 
 The "graph of graphs": states are the hypergraphs of a space (stub-labeled
 sets of linked stubs, or vertex-labeled canonical classes), edges carry the
-one-step transition probability.  Matrix entries are exact rationals; the
-binomials involved at desk scale are tiny, and regularity is an exact
-symmetry claim, so no tolerance is acceptable there.  Floating point enters
-only for stationary vectors and total-variation curves.
+one-step transition probability.  Matrix entries are exact rationals, held
+as integer numerators over one common denominator per chain; the binomials
+involved at desk scale are tiny, and regularity is an exact symmetry claim,
+so no tolerance is acceptable there.  Floating point enters only for
+stationary vectors and total-variation curves.
 
 Every row accumulates mass per (arc pair, stub-level repartition): a
 repartition contributes ``C(|A|,2)^-1 C(ta+tb,ta)^-1 C(ha+hb,ha)^-1`` to its
-target, with rejected targets folded onto the diagonal.  Distinct
-repartitions may hit one target state; their contributions add up, so each
-arc pair counts its hits per target as integers and adds one fraction per
-target.  A target's feature verdict depends only on its vertex projection
-and is computed once per chain build.
+target, with rejected targets folded onto the diagonal.  On stub states the
+arc sizes fix one denominator that every such weight divides
+(:func:`_stub_denominator`), so each repartition adds an integer share to
+its target.  Vertex-labeled rows are also thinned by acceptance
+probabilities ``num/den``; each row sums its terms over their least common
+denominator once it is finished, and the chain rescales its rows to their
+lcm at the end.  A target's feature verdict depends only on its vertex
+projection and is computed once per chain build.  The checks compare
+integers; :attr:`ChainGraph.rows` gives the entries as ``Fraction`` dicts.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
-from math import comb
+from math import comb, gcd, lcm
 from typing import TYPE_CHECKING, Sequence
 
 from .enumeration import (
@@ -41,7 +47,6 @@ from .enumeration import (
 )
 from .hypergraph import (
     DegreeSequence,
-    DirectedHypergraph,
     Hyperarc,
     Multiset,
     SpaceSpec,
@@ -49,7 +54,7 @@ from .hypergraph import (
     canonicalize,
     multiset,
 )
-from .shuffle import ShuffleProposal, acceptance_probability
+from .shuffle import _alpha_terms
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,55 +62,135 @@ if TYPE_CHECKING:
 STATE_LIMIT = 5000
 
 Row = dict[int, Fraction]
+# Integer numerators of one row, keyed by column; zero entries are not stored.
+IntRow = dict[int, int]
 
 
 class StateSpaceLimitError(ValueError):
     """Enumerated space is larger than the analysis guard allows."""
 
 
-@dataclass
 class ChainGraph:
-    """Enumerated state space with its exact transition matrix."""
+    """Enumerated state space with its exact transition matrix.
 
-    spec: SpaceSpec
-    degree: DegreeSequence
-    states: list  # StubState in stub mode, DirectedHypergraph in vertex mode
-    keys: list[bytes]  # canonical key per state, defines the ordering
-    rows: list[Row]
+    Entry ``(i, j)`` is ``numerators[i][j] / denominator``, and the
+    denominator is the least common one: its gcd with every numerator is 1.
+    The builders pass integer ``rows`` with their ``denominator``; without
+    one, ``rows`` are exact rationals (``Fraction`` or ``int`` values).
+    """
+
+    def __init__(
+        self,
+        spec: SpaceSpec,
+        degree: DegreeSequence,
+        states: list,  # StubState in stub mode, DirectedHypergraph in vertex mode
+        keys: list[bytes],  # canonical key per state, defines the ordering
+        rows: Sequence[IntRow] | Sequence[Row],
+        denominator: int | None = None,
+    ) -> None:
+        if denominator is None:
+            denominator = lcm(*(p.denominator for row in rows for p in row.values()))
+            rows = [
+                {j: p.numerator * (denominator // p.denominator)
+                 for j, p in row.items() if p}
+                for row in rows
+            ]
+        common = gcd(denominator, *(p for row in rows for p in row.values()))
+        self.spec = spec
+        self.degree = degree
+        self.states = states
+        self.keys = keys
+        self.numerators = [{j: p // common for j, p in row.items()} for row in rows]
+        self.denominator = denominator // common
 
     @property
     def n_states(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def rows(self) -> list[Row]:
+        """The entries as exact ``Fraction`` dicts, derived from the integers."""
+        den = self.denominator
+        return [
+            {j: Fraction(p, den) for j, p in row.items()} for row in self.numerators
+        ]
+
     def row_sums(self) -> list[Fraction]:
-        return [sum(row.values(), Fraction(0)) for row in self.rows]
+        den = self.denominator
+        return [Fraction(sum(row.values()), den) for row in self.numerators]
 
     def column_sums(self) -> list[Fraction]:
-        sums = [Fraction(0)] * self.n_states
-        for row in self.rows:
-            for j, p in row.items():
-                sums[j] += p
-        return sums
+        den = self.denominator
+        return [Fraction(total, den) for total in _column_totals(self.numerators)]
 
     def to_dense(self) -> np.ndarray:
         import numpy as np
 
         P = np.zeros((self.n_states, self.n_states))
-        for i, row in enumerate(self.rows):
+        den = self.denominator
+        for i, row in enumerate(self.numerators):
             for j, p in row.items():
-                P[i, j] = float(p)
+                P[i, j] = p / den  # correctly rounded, as float(Fraction(p, den))
         return P
+
+
+def _common_denominator(rows: list[tuple[IntRow, int]]) -> tuple[list[IntRow], int]:
+    """Rows given over their own denominators, rescaled to the lcm of those."""
+    den = lcm(*(row_den for _, row_den in rows))
+    return [
+        {j: p * (den // row_den) for j, p in row.items()} for row, row_den in rows
+    ], den
+
+
+def _fold(terms: dict[int, Counter[int]]) -> tuple[IntRow, int]:
+    """A finished row's ``{denominator: {column: numerator}}`` terms, summed.
+
+    Returns the row over the least common denominator of its entries, so
+    that two equal rows compare equal.
+    """
+    den = lcm(*terms)
+    row: IntRow = {}
+    for over, part in terms.items():
+        scale = den // over
+        for j, p in part.items():
+            row[j] = row.get(j, 0) + p * scale
+    row = {j: p for j, p in row.items() if p}
+    common = gcd(den, *row.values())
+    return {j: p // common for j, p in row.items()}, den // common
+
+
+def _column_totals(rows: Sequence[IntRow]) -> list[int]:
+    totals = [0] * len(rows)
+    for row in rows:
+        for j, p in row.items():
+            totals[j] += p
+    return totals
 
 
 def _stub_key(state: StubState) -> bytes:
     return repr(state).encode("ascii")
 
 
-def _check_rows(rows: Sequence[Row]) -> None:
+def _check_rows(rows: Sequence[IntRow], denominator: int) -> None:
     for i, row in enumerate(rows):
-        total = sum(row.values(), Fraction(0))
-        if total != 1:
-            raise AssertionError(f"row {i} sums to {total}, not 1")
+        if sum(row.values()) != denominator:
+            raise AssertionError(
+                f"row {i} sums to {Fraction(sum(row.values()), denominator)}, not 1"
+            )
+
+
+def _stub_denominator(d: DegreeSequence) -> int:
+    """A common denominator of every stub-level repartition's probability.
+
+    A pair of slots of sizes ``(ta, ha)`` and ``(tb, hb)`` proposes each of
+    its repartitions with probability ``1 / (C(m,2) C(ta+tb,ta)
+    C(ha+hb,ha))``, and the slot sizes of every state are ``d``'s.
+    """
+    per_pair = {
+        comb(ta + tb, ta) * comb(ha + hb, ha)
+        for (ta, ha), (tb, hb) in combinations(d.arc_degrees, 2)
+    }
+    return max(comb(d.n_arcs, 2), 1) * lcm(*per_pair)
 
 
 def build_stub_chain(
@@ -117,61 +202,76 @@ def build_stub_chain(
         raise StateSpaceLimitError(f"{len(states)} states exceed the cap {limit}")
     index = {s: k for k, s in enumerate(states)}
     verdicts: dict[ProjectedState, bool] = {}
+    splits: dict[tuple, list[Split]] = {}
+    denominator = _stub_denominator(d)
     n = d.n_vertices
-    rows: list[Row] = []
+    rows: list[IntRow] = []
     for self_idx, state in enumerate(states):
         arcs = list(state)
         projected = [_project(a) for a in state]
         target_proj = list(projected)
-        row: Row = defaultdict(Fraction)
+        row: IntRow = {}
         if len(arcs) < 2:
-            row[self_idx] += 1
-        for i, j, denom, tail_splits, head_splits in _stub_transitions(arcs):
-            # Hits per target as integers, in first-hit order; a feature
+            row[self_idx] = denominator
+        for i, j, denom, tail_splits, head_splits in _stub_transitions(arcs, splits):
+            # Each repartition adds one share to its target; a feature
             # rejection stays put.
-            hits: Counter[int] = Counter()
+            share = denominator // denom
             for (ti, tj, ti_v, tj_v), (hi, hj, hi_v, hj_v) in product(
                 tail_splits, head_splits
             ):
                 target_proj[i], target_proj[j] = (ti_v, hi_v), (tj_v, hj_v)
-                if not _allowed(target_proj, n, spec, verdicts):
-                    hits[self_idx] += 1
-                    continue
-                arcs[i], arcs[j] = (ti, hi), (tj, hj)
-                target = index.get(tuple(sorted(arcs)))
-                if target is None:
-                    raise AssertionError(
-                        "one-shuffle target missing from enumerated space"
-                    )
-                hits[target] += 1
+                target = self_idx
+                if _allowed(target_proj, n, spec, verdicts):
+                    arcs[i], arcs[j] = (ti, hi), (tj, hj)
+                    target = index.get(tuple(sorted(arcs)))
+                    if target is None:
+                        raise AssertionError(
+                            "one-shuffle target missing from enumerated space"
+                        )
+                row[target] = row.get(target, 0) + share
             arcs[i], arcs[j] = state[i], state[j]
             target_proj[i], target_proj[j] = projected[i], projected[j]
-            for target, count in hits.items():
-                row[target] += Fraction(count, denom)
-        rows.append(dict(row))
-    _check_rows(rows)
-    return ChainGraph(spec, d, list(states), [_stub_key(s) for s in states], rows)
+        rows.append(row)
+    _check_rows(rows, denominator)
+    keys = [_stub_key(s) for s in states]
+    return ChainGraph(spec, d, list(states), keys, rows, denominator)
 
 
 # A split of a pooled side: (stubs to arc i, stubs to arc j, and their vertices).
 Split = tuple[tuple[Stub, ...], tuple[Stub, ...], Multiset, Multiset]
 
 
-def _stub_transitions(arcs: Sequence[StubArc]):
+def _stub_transitions(arcs: Sequence[StubArc], splits: dict[tuple, list[Split]]):
     """Yield ``(i, j, denom, tail_splits, head_splits)`` per arc pair.
 
     Every pairing of a tail split with a head split is one stub-level
     repartition of arcs i and j, proposed with probability ``1/denom``;
     splits are listed in ``combinations`` order of the stubs going to arc i.
+    ``splits`` memoises the split lists over one build: the same stub pools
+    recur across states.
     """
     m = len(arcs)
     npairs = comb(m, 2)
     for i, j in combinations(range(m), 2):
         (tail_i, head_i), (tail_j, head_j) = arcs[i], arcs[j]
-        tail_splits = _splits(tuple(sorted(tail_i + tail_j)), len(tail_i))
-        head_splits = _splits(tuple(sorted(head_i + head_j)), len(head_i))
+        tail_splits = _memo_splits(tail_i, tail_j, splits)
+        head_splits = _memo_splits(head_i, head_j, splits)
         denom = npairs * len(tail_splits) * len(head_splits)
         yield i, j, denom, tail_splits, head_splits
+
+
+def _memo_splits(
+    part_i: tuple[Stub, ...], part_j: tuple[Stub, ...], memo: dict[tuple, list[Split]]
+) -> list[Split]:
+    # Keyed by the two parts, not the sorted pool, to skip the sort on a hit.
+    # Tails and heads share the memo: equal parts have equal splits.
+    splits = memo.get((part_i, part_j))
+    if splits is None:
+        splits = memo[part_i, part_j] = _splits(
+            tuple(sorted(part_i + part_j)), len(part_i)
+        )
+    return splits
 
 
 def _splits(pool: tuple[Stub, ...], k: int) -> list[Split]:
@@ -194,18 +294,19 @@ def build_vertex_chain(
         raise StateSpaceLimitError(f"{len(states)} states exceed the cap {limit}")
     keys = [canonical_form(H) for H in states]
     index = {key: k for k, key in enumerate(keys)}
-    rows: list[Row] = []
-    for H in states:
-        row: Row = defaultdict(Fraction)
-        self_idx = index[canonical_form(H)]
+    rows: list[tuple[IntRow, int]] = []
+    for self_idx, H in enumerate(states):
         arcs = list(H.arcs)
         m = len(arcs)
         if m < 2:
-            rows.append({self_idx: Fraction(1)})
+            rows.append(({self_idx: 1}, 1))
             continue
         npairs = comb(m, 2)
+        # Mass w * (den - num) stays and w * num moves, over denom * den.
+        terms: defaultdict[int, Counter[int]] = defaultdict(Counter)
         for i, j in combinations(range(m), 2):
-            (tail_i, head_i), (tail_j, head_j) = arcs[i], arcs[j]
+            a, b = arcs[i], arcs[j]
+            (tail_i, head_i), (tail_j, head_j) = a, b
             pool_t = multiset(tail_i + tail_j)
             pool_h = multiset(head_i + head_j)
             denom = (
@@ -215,21 +316,24 @@ def build_vertex_chain(
             )
             for ta, tb, w_t in _multiset_splits(pool_t, len(tail_i)):
                 for ha, hb, w_h in _multiset_splits(pool_h, len(head_i)):
-                    mass = Fraction(w_t * w_h, denom)
-                    prop = ShuffleProposal(i, j, ta, ha, tb, hb)
-                    alpha = acceptance_probability(H, prop)
+                    arc_a, arc_b = (ta, ha), (tb, hb)
+                    num, den = _alpha_terms(a, b, arc_a, arc_b, H.arcs.count)
+                    w = w_t * w_h
                     new_arcs = list(arcs)
-                    new_arcs[i] = (ta, ha)
-                    new_arcs[j] = (tb, hb)
+                    new_arcs[i] = arc_a
+                    new_arcs[j] = arc_b
                     target = canonicalize(H.replace_arcs(new_arcs))
-                    row[self_idx] += mass * (1 - alpha)
                     if _feature_ok(target, spec):
-                        row[index[canonical_form(target)]] += mass * alpha
+                        target_idx = index[canonical_form(target)]
                     else:
-                        row[self_idx] += mass * alpha
-        rows.append({k: v for k, v in row.items() if v})
-    _check_rows(rows)
-    return ChainGraph(spec, d, states, keys, rows)
+                        target_idx = self_idx
+                    part = terms[denom * den]
+                    part[self_idx] += w * (den - num)
+                    part[target_idx] += w * num
+        rows.append(_fold(terms))
+    numerators, denominator = _common_denominator(rows)
+    _check_rows(numerators, denominator)
+    return ChainGraph(spec, d, states, keys, numerators, denominator)
 
 
 def _as_vertex(spec: SpaceSpec) -> SpaceSpec:
@@ -306,18 +410,18 @@ def build_vertex_chain_lumped(
     class_of = {H.arcs: class_index[canonical_form(H)] for H in projections}
     verdicts: dict[ProjectedState, bool] = {}
 
-    lumped_rows: dict[int, Row] = {}
+    lumped_rows: dict[int, tuple[IntRow, int]] = {}
+    splits: dict[tuple, list[Split]] = {}
     for state, H_proj in zip(stub_states, projections):
-        row: Row = defaultdict(Fraction)
         src = class_of[H_proj.arcs]
-        projected = [_project(a) for a in state]
-        target_proj = list(projected)
         # Alpha reads arcs i and j by position, so it gets the projection in
         # the stub state's arc order, not the sorted class representative.
-        H_at = DirectedHypergraph(n, tuple(projected))
+        projected = [_project(a) for a in state]
+        target_proj = list(projected)
+        terms: defaultdict[int, Counter[int]] = defaultdict(Counter)
         if len(state) < 2:
-            row[src] += 1
-        for i, j, denom, tail_splits, head_splits in _stub_transitions(state):
+            terms[1][src] += 1
+        for i, j, denom, tail_splits, head_splits in _stub_transitions(state, splits):
             # Repartitions with one vertex-level outcome share its alpha,
             # target class and feature verdict.
             outcomes: Counter[tuple[Hyperarc, Hyperarc]] = Counter(
@@ -326,28 +430,30 @@ def build_vertex_chain_lumped(
                     tail_splits, head_splits
                 )
             )
-            for (new_a, new_b), count in outcomes.items():
-                mass = Fraction(count, denom)
-                prop = ShuffleProposal(i, j, new_a[0], new_a[1], new_b[0], new_b[1])
-                alpha = acceptance_probability(H_at, prop)
-                row[src] += mass * (1 - alpha)
+            a, b = projected[i], projected[j]
+            for (new_a, new_b), hits in outcomes.items():
+                num, den = _alpha_terms(a, b, new_a, new_b, projected.count)
                 target_proj[i], target_proj[j] = new_a, new_b
+                target = src
                 if _allowed(target_proj, n, spec, verdicts):
-                    row[class_of[tuple(sorted(target_proj))]] += mass * alpha
-                else:
-                    row[src] += mass * alpha
+                    target = class_of[tuple(sorted(target_proj))]
+                part = terms[denom * den]
+                part[src] += hits * (den - num)
+                part[target] += hits * num
             target_proj[i], target_proj[j] = projected[i], projected[j]
-        clean = {k: v for k, v in row.items() if v}
-        if src in lumped_rows and lumped_rows[src] != clean:
+        row = _fold(terms)  # in lowest terms, so equal rows compare equal
+        if src in lumped_rows and lumped_rows[src] != row:
             raise AssertionError(
                 "stub states of one class produced different collapsed rows"
             )
-        lumped_rows[src] = clean
+        lumped_rows[src] = row
 
     states = [class_rep[key] for key in class_keys]
-    rows = [lumped_rows[k] for k in range(len(class_keys))]
-    _check_rows(rows)
-    return ChainGraph(spec, d, states, list(class_keys), rows)
+    rows, denominator = _common_denominator(
+        [lumped_rows[k] for k in range(len(class_keys))]
+    )
+    _check_rows(rows, denominator)
+    return ChainGraph(spec, d, states, list(class_keys), rows, denominator)
 
 
 def check_regular(g: ChainGraph) -> tuple[bool, tuple[int, int] | None]:
@@ -356,27 +462,27 @@ def check_regular(g: ChainGraph) -> tuple[bool, tuple[int, int] | None]:
     Scanning every stored entry covers missing mirrors too: a nonzero
     P[j][i] with zero P[i][j] is caught while scanning row j.
     """
-    for i, row in enumerate(g.rows):
+    rows = g.numerators
+    for i, row in enumerate(rows):
         for j, p in row.items():
-            if g.rows[j].get(i, Fraction(0)) != p:
+            if rows[j].get(i, 0) != p:
                 return False, (i, j)
     return True, None
 
 
 def check_doubly_stochastic(g: ChainGraph) -> tuple[bool, int | None]:
     """Rows and columns all sum to exactly 1."""
-    for i, total in enumerate(g.row_sums()):
-        if total != 1:
-            return False, i
-    for j, total in enumerate(g.column_sums()):
-        if total != 1:
-            return False, j
+    rows = g.numerators
+    for totals in ([sum(row.values()) for row in rows], _column_totals(rows)):
+        for i, total in enumerate(totals):
+            if total != g.denominator:
+                return False, i
     return True, None
 
 
 def check_aperiodic(g: ChainGraph) -> bool:
     """Positive diagonal everywhere (identity shuffle mass)."""
-    return all(row.get(i, Fraction(0)) > 0 for i, row in enumerate(g.rows))
+    return all(row.get(i, 0) > 0 for i, row in enumerate(g.numerators))
 
 
 def check_strongly_connected(g: ChainGraph) -> tuple[bool, list[list[int]]]:
@@ -386,7 +492,7 @@ def check_strongly_connected(g: ChainGraph) -> tuple[bool, list[list[int]]]:
     components (each sorted, components ordered by smallest member).
     """
     n = g.n_states
-    succ = [[j for j, p in row.items() if p > 0] for row in g.rows]
+    succ = [[j for j, p in row.items() if p > 0] for row in g.numerators]
     pred: list[list[int]] = [[] for _ in range(n)]
     for i, out in enumerate(succ):
         for j in out:
@@ -471,7 +577,7 @@ def stationary_distribution(
 
 def _component_is_closed(g: ChainGraph, members: list[int]) -> bool:
     inside = set(members)
-    return all(j in inside for i in members for j in g.rows[i])
+    return all(j in inside for i in members for j in g.numerators[i])
 
 
 def _power_iterate(P: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
@@ -494,15 +600,17 @@ def is_exactly_uniform_stationary(g: ChainGraph) -> bool:
     connectivity and aperiodicity this pins the stationary distribution to
     uniform with zero error.
     """
-    return all(total == 1 for total in g.column_sums())
+    return all(total == g.denominator for total in _column_totals(g.numerators))
 
 
 def tv_curve(g: ChainGraph, start: int, steps: int) -> list[float]:
     """Total variation distance to uniform after t = 0..steps steps."""
     import numpy as np
 
-    P = g.to_dense()
     n = g.n_states
+    if not 0 <= start < n:
+        raise ValueError(f"start state {start} is not one of the chain's {n} states")
+    P = g.to_dense()
     x = np.zeros(n)
     x[start] = 1.0
     uniform = 1.0 / n
@@ -516,10 +624,11 @@ def tv_curve(g: ChainGraph, start: int, steps: int) -> list[float]:
 def chain_edge_list(g: ChainGraph) -> str:
     """Plain-text export: one ``i j num/den`` line per positive entry."""
     lines = []
-    for i, row in enumerate(g.rows):
+    den = g.denominator
+    for i, row in enumerate(g.numerators):
         for j in sorted(row):
-            p = row[j]
-            lines.append(f"{i} {j} {p.numerator}/{p.denominator}")
+            common = gcd(row[j], den)
+            lines.append(f"{i} {j} {row[j] // common}/{den // common}")
     return "\n".join(lines) + "\n"
 
 

@@ -23,7 +23,6 @@ from math import comb
 from . import __version__
 from .chains import (
     STATE_LIMIT,
-    StateSpaceLimitError,
     build_stub_chain,
     build_vertex_chain,
     chain_edge_list,
@@ -54,7 +53,7 @@ from .hypergraph import (
 )
 from .replicas import _run_replicas
 from .reproduce import TARGETS
-from .shuffle import ChainConfig, ChainConfigError, run_chain, spawn_seed
+from .shuffle import ChainConfig, run_chain, spawn_seed
 from .validation import stub_pushforward_weights, uniformity_test
 
 DEFAULT_SEED_ENV = "HYPERSHUFFLE_SEED"
@@ -371,8 +370,9 @@ def main(argv: list[str] | None = None) -> int:
         args.seed = _default_seed(parser)
     try:
         return args.func(args)
-    except (ChainConfigError, EnumerationLimitError, StateSpaceLimitError,
-            HypergraphError, DhgParseError, OSError, UnicodeDecodeError) as exc:
+    # Bad input raises ValueError (parse, space, limits, engine range,
+    # chain start) or OSError; either ends as a message and exit 1.
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

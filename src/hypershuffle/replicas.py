@@ -24,8 +24,9 @@ K + id_i``, with ``T`` and ``H`` the largest tail and head split counts
 and ``K`` a power of two at least the intern table's size, and a dense
 table indexed by code mirrors the cache: a step is one gather, and only
 the codes not yet in it are evaluated.  The table is used while its
-``K * K * T * H`` entries stay within ``_TABLE_PER_REPLICA`` per replica;
-``K`` doubles, re-packing the cache, as the intern table grows past it.
+``K * K * T * H`` entries stay within ``_TABLE_PER_REPLICA`` per replica,
+or within ``_TABLE_FLOOR`` for small runs; ``K`` doubles, re-packing the
+cache, as the intern table grows past it.
 Otherwise one ``np.lexsort`` groups the replicas by outcome and each group
 looks the cache up; this is also the path for codes of ``2**63`` or more,
 and it takes over mid-run when ``K`` outgrows the bound.  Ascending code
@@ -75,8 +76,13 @@ if TYPE_CHECKING:
 _INDEX_LIMIT = 1 << 63
 _ALPHA_DEN_LIMIT = 1 << _RANDOM_BITS
 # Largest outcome table, in entries per replica, so that building or
-# clearing it costs about as much as a few steps over all replicas.
+# clearing it costs about as much as a few steps over all replicas.  Up to
+# _TABLE_FLOOR entries a table is used however few the replicas: building
+# one that small costs less than sorting every step (at 64 replicas on the
+# worked example a run takes about two thirds of the time; README
+# "Performance").
 _TABLE_PER_REPLICA = 16
+_TABLE_FLOOR = 4096
 
 
 def sample_replicas(
@@ -176,14 +182,15 @@ def _run_replicas(
     def rebuild() -> None:
         """Size the table to the intern table and fill it from the cache.
 
-        No table when it would pass ``_TABLE_PER_REPLICA`` entries per
-        replica, or hold codes of ``2**63`` or more.
+        No table when it would pass both ``_TABLE_PER_REPLICA`` entries
+        per replica and ``_TABLE_FLOOR``, or hold codes of ``2**63`` or more.
         """
         nonlocal table, capacity
         capacity = 1 << (len(arcs) - 1).bit_length()
         size = capacity * capacity * tails * heads
         table = None
-        if size <= min(_TABLE_PER_REPLICA * replicas, _INDEX_LIMIT):
+        bound = max(_TABLE_PER_REPLICA * replicas, _TABLE_FLOOR)
+        if size <= min(bound, _INDEX_LIMIT):
             table = np.zeros((5, size), dtype=np.int64)
             if cache:
                 keys = np.array(list(cache), dtype=np.int64).T

@@ -247,7 +247,10 @@ def thm4() -> tuple[bool, list[str]]:
     doubly stochastic (hence uniform is exactly stationary), it agrees
     entry by entry with the collapse of the thinned stub walk, and the
     plain stub walk pushes forward to class weights proportional to stub
-    realization counts.
+    realization counts.  An ``INFO`` line per instance reports whether the
+    direct chain is also exactly symmetric, that is reversible with respect
+    to uniform: stronger than the doubly stochastic claim, so it does not
+    gate the target.
     """
     lines = []
     ok = True
@@ -283,6 +286,11 @@ def thm4() -> tuple[bool, list[str]]:
             f"doubly-stochastic={doubly}, uniform-stationary={uniform}, "
             f"routes-agree={routes_agree}, connected={connected}, "
             f"pushforward-counts={pushforward_ok}"
+        )
+        symmetric, witness = check_regular(direct)
+        lines.append(
+            f"INFO {name}: symmetric={symmetric}"
+            + (f", asymmetry witness {witness}" if witness else "")
         )
     return ok, lines
 

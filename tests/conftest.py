@@ -1,17 +1,21 @@
 """Shared instances and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own computation paths:
-degrees are recounted incidence by incidence, and acceptance probabilities
+degrees are recounted incidence by incidence, acceptance probabilities
 are checked against a brute-force enumeration of one-shuffle outcomes at
-the stub level.
+the stub level, and transition matrices are rebuilt by adding one
+``Fraction`` per (arc pair, target) instead of integer shares over one
+common denominator.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
+from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -20,12 +24,18 @@ from hypershuffle import (
     DirectedHypergraph,
     ShuffleProposal,
     SpaceSpec,
+    acceptance_probability,
     canonical_form,
+    canonicalize,
     classify_features,
+    enumerate_stub_space,
+    enumerate_vertex_space,
     hypergraph,
     multiset,
     stub_state_to_hypergraph,
 )
+from hypershuffle.chains import _as_vertex, _multiset_splits
+from hypershuffle.enumeration import _allowed, _feature_ok, _parts, _project, _vertices
 
 # The worked example with five arcs: a self-loop, a degenerate arc and a
 # multi pair (vertices a..f mapped to 0..5).
@@ -209,6 +219,137 @@ def brute_stub_space(d: DegreeSequence, spec: SpaceSpec) -> list:
             stub_state_to_hypergraph(state, d.n_vertices), spec.overlap_self_loops
         ).forbidden_by(spec)
     )
+
+
+def _fraction_stub_transitions(arcs):
+    """``(i, j, denom, tail_splits, head_splits)`` per arc pair, unmemoised."""
+    m = len(arcs)
+    for i, j in combinations(range(m), 2):
+        (tail_i, head_i), (tail_j, head_j) = arcs[i], arcs[j]
+        tail_splits, head_splits = (
+            [(a, b, _vertices(a), _vertices(b)) for a, b in _parts(pool, k)]
+            for pool, k in (
+                (tuple(sorted(tail_i + tail_j)), len(tail_i)),
+                (tuple(sorted(head_i + head_j)), len(head_i)),
+            )
+        )
+        denom = comb(m, 2) * len(tail_splits) * len(head_splits)
+        yield i, j, denom, tail_splits, head_splits
+
+
+def fraction_stub_chain(d: DegreeSequence, spec: SpaceSpec):
+    """``(keys, rows)`` of the stub chain, one ``Fraction`` per (pair, target)."""
+    states = enumerate_stub_space(d, spec)
+    index = {s: k for k, s in enumerate(states)}
+    verdicts = {}
+    rows = []
+    for self_idx, state in enumerate(states):
+        arcs = list(state)
+        projected = [_project(a) for a in state]
+        target_proj = list(projected)
+        row = defaultdict(Fraction)
+        if len(arcs) < 2:
+            row[self_idx] += 1
+        for i, j, denom, tail_splits, head_splits in _fraction_stub_transitions(arcs):
+            hits = Counter()
+            for (ti, tj, ti_v, tj_v), (hi, hj, hi_v, hj_v) in product(
+                tail_splits, head_splits
+            ):
+                target_proj[i], target_proj[j] = (ti_v, hi_v), (tj_v, hj_v)
+                if not _allowed(target_proj, d.n_vertices, spec, verdicts):
+                    hits[self_idx] += 1
+                    continue
+                arcs[i], arcs[j] = (ti, hi), (tj, hj)
+                hits[index[tuple(sorted(arcs))]] += 1
+            arcs[i], arcs[j] = state[i], state[j]
+            target_proj[i], target_proj[j] = projected[i], projected[j]
+            for target, count in hits.items():
+                row[target] += Fraction(count, denom)
+        rows.append(dict(row))
+    return [repr(s).encode("ascii") for s in states], rows
+
+
+def fraction_vertex_chain(d: DegreeSequence, spec: SpaceSpec):
+    """``(keys, rows)`` of the vertex chain on classes, in ``Fraction`` terms."""
+    spec = _as_vertex(spec)
+    states = enumerate_vertex_space(d, spec)
+    keys = [canonical_form(H) for H in states]
+    index = {key: k for k, key in enumerate(keys)}
+    rows = []
+    for self_idx, H in enumerate(states):
+        row = defaultdict(Fraction)
+        arcs = list(H.arcs)
+        m = len(arcs)
+        if m < 2:
+            rows.append({self_idx: Fraction(1)})
+            continue
+        for i, j in combinations(range(m), 2):
+            (tail_i, head_i), (tail_j, head_j) = arcs[i], arcs[j]
+            pool_t = multiset(tail_i + tail_j)
+            pool_h = multiset(head_i + head_j)
+            denom = (
+                comb(m, 2)
+                * comb(len(pool_t), len(tail_i))
+                * comb(len(pool_h), len(head_i))
+            )
+            for ta, tb, w_t in _multiset_splits(pool_t, len(tail_i)):
+                for ha, hb, w_h in _multiset_splits(pool_h, len(head_i)):
+                    mass = Fraction(w_t * w_h, denom)
+                    alpha = acceptance_probability(
+                        H, ShuffleProposal(i, j, ta, ha, tb, hb)
+                    )
+                    new_arcs = list(arcs)
+                    new_arcs[i] = (ta, ha)
+                    new_arcs[j] = (tb, hb)
+                    target = canonicalize(H.replace_arcs(new_arcs))
+                    row[self_idx] += mass * (1 - alpha)
+                    if _feature_ok(target, spec):
+                        row[index[canonical_form(target)]] += mass * alpha
+                    else:
+                        row[self_idx] += mass * alpha
+        rows.append({k: v for k, v in row.items() if v})
+    return keys, rows
+
+
+def fraction_lumped_chain(d: DegreeSequence, spec: SpaceSpec):
+    """``(keys, rows)`` of the thinned stub walk collapsed onto classes."""
+    spec = _as_vertex(spec)
+    n = d.n_vertices
+    stub_states = enumerate_stub_space(d, spec)
+    projections = [stub_state_to_hypergraph(s, n) for s in stub_states]
+    class_keys = sorted({canonical_form(H) for H in projections})
+    class_of = {H.arcs: class_keys.index(canonical_form(H)) for H in projections}
+    verdicts = {}
+    lumped = {}
+    for state, H_proj in zip(stub_states, projections):
+        row = defaultdict(Fraction)
+        src = class_of[H_proj.arcs]
+        projected = [_project(a) for a in state]
+        target_proj = list(projected)
+        H_at = DirectedHypergraph(n, tuple(projected))
+        if len(state) < 2:
+            row[src] += 1
+        for i, j, denom, tail_splits, head_splits in _fraction_stub_transitions(state):
+            outcomes = Counter(
+                ((ti_v, hi_v), (tj_v, hj_v))
+                for (_, _, ti_v, tj_v), (_, _, hi_v, hj_v) in product(
+                    tail_splits, head_splits
+                )
+            )
+            for (new_a, new_b), count in outcomes.items():
+                mass = Fraction(count, denom)
+                prop = ShuffleProposal(i, j, new_a[0], new_a[1], new_b[0], new_b[1])
+                alpha = acceptance_probability(H_at, prop)
+                row[src] += mass * (1 - alpha)
+                target_proj[i], target_proj[j] = new_a, new_b
+                if _allowed(target_proj, n, spec, verdicts):
+                    row[class_of[tuple(sorted(target_proj))]] += mass * alpha
+                else:
+                    row[src] += mass * alpha
+            target_proj[i], target_proj[j] = projected[i], projected[j]
+        clean = {k: v for k, v in row.items() if v}
+        assert lumped.setdefault(src, clean) == clean
+    return class_keys, [lumped[k] for k in range(len(class_keys))]
 
 
 @pytest.fixture

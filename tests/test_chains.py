@@ -1,7 +1,9 @@
 """Exact chain analysis: matrices, chain properties, stationary behavior."""
 
 import hashlib
+import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -22,13 +24,23 @@ from hypershuffle import (
     tv_curve,
 )
 from hypershuffle.chains import (
+    ChainGraph,
     StateSpaceLimitError,
     chain_edge_list,
     tv_curve_csv,
     with_perturbed_entry,
 )
-from hypershuffle.reproduce import THM2_BATTERY
-from conftest import D1_BLOCKED, D1_DEGREES, FIG_DEGREES
+from hypershuffle.hypergraph import ALL_FEATURE_SETS, degree_sequence
+from hypershuffle.reproduce import THM1_BATTERY, THM2_BATTERY, THM4_BATTERY
+from conftest import (
+    D1_BLOCKED,
+    D1_DEGREES,
+    FIG_DEGREES,
+    fraction_lumped_chain,
+    fraction_stub_chain,
+    fraction_vertex_chain,
+    random_instance,
+)
 
 SDM = SpaceSpec.from_string("sdm")
 
@@ -110,8 +122,6 @@ class TestChainProperties:
         rows = [dict(r) for r in g.rows]
         rows[0][1] = rows[0][0] + rows[0][1]
         del rows[0][0]
-        from hypershuffle.chains import ChainGraph
-
         bad = ChainGraph(g.spec, g.degree, g.states, g.keys, rows)
         assert not check_aperiodic(bad)
 
@@ -175,6 +185,12 @@ class TestStationary:
         curve = tv_curve(gv, blocked, 50)
         assert all(value == pytest.approx(curve[0]) for value in curve)
         assert curve[0] >= 0.25
+
+    @pytest.mark.parametrize("start", [-1, 2])
+    def test_tv_curve_rejects_a_start_outside_the_chain(self, start):
+        g = build_stub_chain(TWO_ARC_D, SDM)
+        with pytest.raises(ValueError, match="not one of the chain's 2 states"):
+            tv_curve(g, start, 5)
 
     def test_tv_curve_decays_on_connected_chain(self):
         g = build_stub_chain(FIG_DEGREES, SDM)
@@ -263,6 +279,73 @@ def test_chain_edge_list_pins(d, features, build, digest):
     g = build(d, SpaceSpec.from_string(features, labeling))
     text = chain_edge_list(g)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
+def assert_matches_oracle(build, oracle, d, spec):
+    """Same keys and exact rows as the oracle, over the least denominator."""
+    g = build(d, spec)
+    keys, rows = oracle(d, spec)
+    assert g.keys == keys
+    assert g.rows == rows
+    assert gcd(g.denominator, *(p for row in g.numerators for p in row.values())) == 1
+
+
+VERTEX_ROUTES = [
+    (build_vertex_chain, fraction_vertex_chain),
+    (build_vertex_chain_lumped, fraction_lumped_chain),
+]
+
+
+def small_degrees(seed: int):
+    """A random degree sequence of at most 9 stubs, from ``random_instance``."""
+    rng = random.Random(seed)
+    while True:
+        H = random_instance(rng, max_vertices=3, max_arcs=3, max_side=2)
+        if degree_sequence(H).total_stubs <= 9:
+            return degree_sequence(H)
+
+
+class TestIntegerRowsMatchFractionOracle:
+    """Integer builders against the ``Fraction``-accumulating ones in conftest."""
+
+    @pytest.mark.parametrize("d", [d for _, d in THM1_BATTERY],
+                             ids=[name for name, _ in THM1_BATTERY])
+    def test_thm1_battery(self, d):
+        for features in ("sdm", "sm"):
+            spec = SpaceSpec.from_string(features)
+            assert_matches_oracle(build_stub_chain, fraction_stub_chain, d, spec)
+
+    @pytest.mark.parametrize("d", [d for _, d in THM4_BATTERY],
+                             ids=[name for name, _ in THM4_BATTERY])
+    def test_thm4_battery(self, d):
+        spec = SpaceSpec.from_string("sdm", "vertex")
+        for build, oracle in VERTEX_ROUTES:
+            assert_matches_oracle(build, oracle, d, spec)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_degree_sequences(self, seed):
+        d = small_degrees(8100 + seed)
+        for features in ALL_FEATURE_SETS:
+            for overlap in (False, True):
+                stub = SpaceSpec.from_string(features, "stub", overlap)
+                assert_matches_oracle(build_stub_chain, fraction_stub_chain, d, stub)
+                vertex = SpaceSpec.from_string(features, "vertex", overlap)
+                for build, oracle in VERTEX_ROUTES:
+                    assert_matches_oracle(build, oracle, d, vertex)
+
+    def test_fraction_rows_give_the_same_integers(self):
+        vertex = SpaceSpec.from_string("sdm", "vertex")
+        stub_chain = build_stub_chain(FIG_DEGREES, SDM)
+        for g in (stub_chain, build_vertex_chain(FIG_DEGREES, vertex)):
+            again = ChainGraph(g.spec, g.degree, g.states, g.keys, g.rows)
+            assert again.numerators == g.numerators
+            assert again.denominator == g.denominator
+
+    def test_empty_space_has_denominator_one(self):
+        # The one arc these degrees allow is degenerate.
+        d = DegreeSequence(((0, 2), (1, 0)), ((2, 1),))
+        g = build_stub_chain(d, SpaceSpec.from_string(""))
+        assert g.n_states == 0 and g.denominator == 1
 
 
 class TestExports:

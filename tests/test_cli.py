@@ -314,6 +314,19 @@ def test_chain_verify_zero_steps_exports_the_start(fig_file, tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["0"]
 
 
+@pytest.mark.parametrize("labeling", ["stub", "vertex"])
+def test_chain_verify_tv_export_on_an_empty_space(tmp_path, capsys, labeling):
+    # The one arc these degrees allow is degenerate, so space '' is empty.
+    path = tmp_path / "empty.dhg"
+    path.write_text("vertices u v\narc u u -> v\n")
+    code = run_cli("chain-verify", "--input", str(path), "--space", "",
+                   "--labeling", labeling, "--export-tv", str(tmp_path / "tv.csv"))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "states 0\n" in captured.out
+    assert captured.err == "error: start state 0 is not one of the chain's 0 states\n"
+
+
 @pytest.mark.parametrize("flag", ["--steps", "--limit"])
 def test_chain_verify_negative_count_is_a_usage_error(fig_file, capsys, tmp_path, flag):
     curve = tmp_path / "tv.csv"

@@ -322,15 +322,18 @@ def test_fixed_seed_tally_pins(name, features, labeling, steps, replicas, seed, 
 
 
 # The outcome table and the lexsort path must give the same rows, arc table
-# and tally order; ``_TABLE_PER_REPLICA`` picks between them, so setting it
-# forces a path: 0 never builds a table, a large bound always does.
-LEXSORT_ONLY, TABLE_ALWAYS = 0, 1 << 30
-DEFAULT_BOUND = engine._TABLE_PER_REPLICA
+# and tally order; ``_TABLE_PER_REPLICA`` and ``_TABLE_FLOOR`` pick between
+# them, so setting the pair forces a path: (0, 0) never builds a table, a
+# large bound always does.
+LEXSORT_ONLY, TABLE_ALWAYS = (0, 0), (1 << 30, 0)
+DEFAULT_BOUND = engine._TABLE_PER_REPLICA, engine._TABLE_FLOOR
 
 
 def engine_run(monkeypatch, bound, start, spec, steps, replicas, seed):
     """Rows, arcs and tally items of one run, and its per-step ``np.lexsort``
-    and compaction (``np.unique`` with an inverse) call counts."""
+    and compaction (``np.unique`` with an inverse) call counts.
+
+    ``bound`` is ``(_TABLE_PER_REPLICA, _TABLE_FLOOR)`` for the run."""
     lexsort, unique, calls = np.lexsort, np.unique, Counter()
 
     def counting_lexsort(*args, **kwargs):
@@ -341,7 +344,8 @@ def engine_run(monkeypatch, bound, start, spec, steps, replicas, seed):
         calls["compaction"] += bool(kwargs.get("return_inverse"))
         return unique(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "_TABLE_PER_REPLICA", bound)
+    monkeypatch.setattr(engine, "_TABLE_PER_REPLICA", bound[0])
+    monkeypatch.setattr(engine, "_TABLE_FLOOR", bound[1])
     monkeypatch.setattr(np, "lexsort", counting_lexsort)
     monkeypatch.setattr(np, "unique", counting_unique)
     ids, arcs = engine._run_replicas(start, spec, steps, replicas, seed)
@@ -389,7 +393,7 @@ class TestOutcomeTable:
         # its intern table then passes 16 arcs and the table would not.
         spec = SpaceSpec.from_string("", "vertex")
         args = (TWELVE_ARCS, spec, 40, 100, 13)
-        handed, calls = engine_run(monkeypatch, 32, *args)
+        handed, calls = engine_run(monkeypatch, (32, 0), *args)
         lexsorted, _ = engine_run(monkeypatch, LEXSORT_ONLY, *args)
         assert 0 < calls["lexsort"] < 40
         assert handed == lexsorted
@@ -404,18 +408,27 @@ class TestOutcomeTable:
         assert calls["compaction"] >= 2
         assert tabled == lexsorted
 
-    @pytest.mark.parametrize("labeling", ["stub", "vertex"])
-    def test_worked_example_never_sorts(self, monkeypatch, labeling):
+    # The 1,536-entry table is within 16 per replica at 200 replicas, and
+    # within the floor at 64 or 1.
+    @pytest.mark.parametrize(
+        "labeling, replicas",
+        [("stub", 200), ("vertex", 200), ("stub", 64), ("vertex", 64), ("stub", 1)],
+        ids=["stub", "vertex", "stub-64", "vertex-64", "stub-1"],
+    )
+    def test_worked_example_never_sorts(self, monkeypatch, labeling, replicas):
         spec = SpaceSpec.from_string("sdm", labeling)
         start = enumerate_vertex_space(FIG_DEGREES, SDM)[0]
-        _, calls = engine_run(monkeypatch, DEFAULT_BOUND, start, spec, 100, 200, 922)
+        args = (start, spec, 100, replicas, 922)
+        tabled, calls = engine_run(monkeypatch, DEFAULT_BOUND, *args)
         assert calls["lexsort"] == 0
+        assert tabled == engine_run(monkeypatch, LEXSORT_ONLY, *args)[0]
 
     def test_codes_past_int64_stay_on_lexsort(self, monkeypatch):
         # C(66, 33) tail splits times 2 head splits times 2 * 2 arc-id
         # pairs reach 2**63, so even an unbounded table is not built.
         H = hypergraph(3, [((0,) * 33, (2,)), ((1,) * 33, (2,))])
-        (rows, arcs, tally), calls = engine_run(monkeypatch, 1 << 64, H, SDM, 3, 10, 923)
+        args = (H, SDM, 3, 10, 923)
+        (rows, arcs, tally), calls = engine_run(monkeypatch, (1 << 64, 0), *args)
         assert calls["lexsort"] == 3
         assert sum(count for _, count in tally) == 10
         d = degree_sequence(H)

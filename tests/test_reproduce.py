@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from hypershuffle.reproduce import TARGETS
+from hypershuffle.reproduce import TARGETS, THM4_BATTERY
 
 
 @pytest.mark.parametrize("name", sorted(TARGETS))
@@ -23,3 +23,9 @@ def test_thm2_reports_near_class_verdicts():
     _, lines = TARGETS["thm2"]()
     info = [line for line in lines if line.startswith("INFO")]
     assert len(info) >= 2
+
+
+def test_thm4_reports_exact_symmetry_per_instance():
+    _, lines = TARGETS["thm4"]()
+    info = [line for line in lines if line.startswith("INFO")]
+    assert info == [f"INFO {name}: symmetric=True" for name, _ in THM4_BATTERY]
