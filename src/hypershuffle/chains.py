@@ -24,7 +24,7 @@ integers; :attr:`ChainGraph.rows` gives the entries as ``Fraction`` dicts.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
@@ -37,7 +37,6 @@ from .enumeration import (
     StubArc,
     StubState,
     _allowed,
-    _feature_ok,
     _parts,
     _project,
     _vertices,
@@ -51,7 +50,6 @@ from .hypergraph import (
     Multiset,
     SpaceSpec,
     canonical_form,
-    canonicalize,
     multiset,
 )
 from .shuffle import _alpha_terms
@@ -118,10 +116,6 @@ class ChainGraph:
     def row_sums(self) -> list[Fraction]:
         den = self.denominator
         return [Fraction(sum(row.values()), den) for row in self.numerators]
-
-    def column_sums(self) -> list[Fraction]:
-        den = self.denominator
-        return [Fraction(total, den) for total in _column_totals(self.numerators)]
 
     def to_dense(self) -> np.ndarray:
         import numpy as np
@@ -284,68 +278,89 @@ def build_vertex_chain(
     """Exact vertex-labeled chain, built directly on canonical classes.
 
     Repartitions are enumerated at the multiset level, each weighted by the
-    number of stub-level splits realizing it; the acceptance probability
-    thins every proposal, with the refused share folded onto the diagonal
-    ahead of the feature check.
+    number of stub-level splits realizing it, and thinned by
+    :func:`_thinned_row`.
     """
     spec = _as_vertex(spec)
     states = enumerate_vertex_space(d, spec)
     if len(states) > limit:
         raise StateSpaceLimitError(f"{len(states)} states exceed the cap {limit}")
-    keys = [canonical_form(H) for H in states]
-    index = {key: k for k, key in enumerate(keys)}
-    rows: list[tuple[IntRow, int]] = []
-    for self_idx, H in enumerate(states):
-        arcs = list(H.arcs)
-        m = len(arcs)
-        if m < 2:
-            rows.append(({self_idx: 1}, 1))
-            continue
-        npairs = comb(m, 2)
-        # Mass w * (den - num) stays and w * num moves, over denom * den.
-        terms: defaultdict[int, Counter[int]] = defaultdict(Counter)
-        for i, j in combinations(range(m), 2):
-            a, b = arcs[i], arcs[j]
-            (tail_i, head_i), (tail_j, head_j) = a, b
-            pool_t = multiset(tail_i + tail_j)
-            pool_h = multiset(head_i + head_j)
-            denom = (
-                npairs
-                * comb(len(pool_t), len(tail_i))
-                * comb(len(pool_h), len(head_i))
-            )
-            for ta, tb, w_t in _multiset_splits(pool_t, len(tail_i)):
-                for ha, hb, w_h in _multiset_splits(pool_h, len(head_i)):
-                    arc_a, arc_b = (ta, ha), (tb, hb)
-                    num, den = _alpha_terms(a, b, arc_a, arc_b, H.arcs.count)
-                    w = w_t * w_h
-                    new_arcs = list(arcs)
-                    new_arcs[i] = arc_a
-                    new_arcs[j] = arc_b
-                    target = canonicalize(H.replace_arcs(new_arcs))
-                    if _feature_ok(target, spec):
-                        target_idx = index[canonical_form(target)]
-                    else:
-                        target_idx = self_idx
-                    part = terms[denom * den]
-                    part[self_idx] += w * (den - num)
-                    part[target_idx] += w * num
-        rows.append(_fold(terms))
+    class_of = {H.arcs: k for k, H in enumerate(states)}
+    verdicts: dict[ProjectedState, bool] = {}
+    rows = [
+        _thinned_row(k, H.arcs, _class_outcomes(H.arcs), class_of, d, spec, verdicts)
+        for k, H in enumerate(states)
+    ]
     numerators, denominator = _common_denominator(rows)
     _check_rows(numerators, denominator)
+    keys = [canonical_form(H) for H in states]
     return ChainGraph(spec, d, states, keys, numerators, denominator)
 
 
 def _as_vertex(spec: SpaceSpec) -> SpaceSpec:
-    if spec.labeling == "vertex":
-        return spec
-    return SpaceSpec(
-        spec.allow_self_loops,
-        spec.allow_degenerate,
-        spec.allow_multi,
-        "vertex",
-        spec.overlap_self_loops,
-    )
+    return replace(spec, labeling="vertex")
+
+
+def _class_outcomes(arcs: Sequence[Hyperarc]):
+    """Yield ``(i, j, denom, outcomes)`` per arc pair of a class.
+
+    ``outcomes`` lists each vertex-level repartition ``(arc_a, arc_b)`` with
+    its number of stub-level splits; each split is proposed with
+    probability ``1/denom``.
+    """
+    m = len(arcs)
+    npairs = comb(m, 2)
+    for i, j in combinations(range(m), 2):
+        (tail_i, head_i), (tail_j, head_j) = arcs[i], arcs[j]
+        pool_t, pool_h = multiset(tail_i + tail_j), multiset(head_i + head_j)
+        denom = (
+            npairs
+            * comb(len(pool_t), len(tail_i))
+            * comb(len(pool_h), len(head_i))
+        )
+        outcomes = [
+            (((ta, ha), (tb, hb)), w_t * w_h)
+            for ta, tb, w_t in _multiset_splits(pool_t, len(tail_i))
+            for ha, hb, w_h in _multiset_splits(pool_h, len(head_i))
+        ]
+        yield i, j, denom, outcomes
+
+
+def _thinned_row(
+    src: int,
+    arcs: Sequence[Hyperarc],
+    pairs,
+    class_of: dict[ProjectedState, int],
+    d: DegreeSequence,
+    spec: SpaceSpec,
+    verdicts: dict[ProjectedState, bool],
+) -> tuple[IntRow, int]:
+    """The vertex-labeled row of class ``src`` from one listing of its moves.
+
+    ``arcs`` are the state's vertex-level arcs in slot order; ``pairs``
+    yields ``(i, j, denom, outcomes)`` with ``outcomes`` as in
+    :func:`_class_outcomes`.  Alpha thins every proposal, with the refused
+    share folded onto the diagonal ahead of the feature check; an allowed
+    target is the class whose sorted arcs ``class_of`` maps.
+    """
+    # Mass w * (den - num) stays and w * num moves, over denom * den.
+    terms: defaultdict[int, Counter[int]] = defaultdict(Counter)
+    if len(arcs) < 2:
+        terms[1][src] += 1
+    target_proj = list(arcs)
+    for i, j, denom, outcomes in pairs:
+        a, b = arcs[i], arcs[j]
+        for (arc_a, arc_b), w in outcomes:
+            num, den = _alpha_terms(a, b, arc_a, arc_b, arcs.count)
+            target_proj[i], target_proj[j] = arc_a, arc_b
+            target = src
+            if _allowed(target_proj, d.n_vertices, spec, verdicts):
+                target = class_of[tuple(sorted(target_proj))]
+            part = terms[denom * den]
+            part[src] += w * (den - num)
+            part[target] += w * num
+        target_proj[i], target_proj[j] = a, b
+    return _fold(terms)  # in lowest terms, so equal rows compare equal
 
 
 def _multiset_splits(pool: tuple[int, ...], k: int):
@@ -401,9 +416,8 @@ def build_vertex_chain_lumped(
     stub_states = enumerate_stub_space(d, spec)
     if len(stub_states) > limit:
         raise StateSpaceLimitError(f"{len(stub_states)} states exceed the cap {limit}")
-    n = d.n_vertices
 
-    projections = [canonicalize(stub_state_to_hypergraph(s, n)) for s in stub_states]
+    projections = [stub_state_to_hypergraph(s, d.n_vertices) for s in stub_states]
     class_keys = sorted({canonical_form(H) for H in projections})
     class_index = {key: k for k, key in enumerate(class_keys)}
     class_rep = {canonical_form(H): H for H in projections}
@@ -417,31 +431,9 @@ def build_vertex_chain_lumped(
         # Alpha reads arcs i and j by position, so it gets the projection in
         # the stub state's arc order, not the sorted class representative.
         projected = [_project(a) for a in state]
-        target_proj = list(projected)
-        terms: defaultdict[int, Counter[int]] = defaultdict(Counter)
-        if len(state) < 2:
-            terms[1][src] += 1
-        for i, j, denom, tail_splits, head_splits in _stub_transitions(state, splits):
-            # Repartitions with one vertex-level outcome share its alpha,
-            # target class and feature verdict.
-            outcomes: Counter[tuple[Hyperarc, Hyperarc]] = Counter(
-                ((ti_v, hi_v), (tj_v, hj_v))
-                for (_, _, ti_v, tj_v), (_, _, hi_v, hj_v) in product(
-                    tail_splits, head_splits
-                )
-            )
-            a, b = projected[i], projected[j]
-            for (new_a, new_b), hits in outcomes.items():
-                num, den = _alpha_terms(a, b, new_a, new_b, projected.count)
-                target_proj[i], target_proj[j] = new_a, new_b
-                target = src
-                if _allowed(target_proj, n, spec, verdicts):
-                    target = class_of[tuple(sorted(target_proj))]
-                part = terms[denom * den]
-                part[src] += hits * (den - num)
-                part[target] += hits * num
-            target_proj[i], target_proj[j] = projected[i], projected[j]
-        row = _fold(terms)  # in lowest terms, so equal rows compare equal
+        row = _thinned_row(
+            src, projected, _stub_outcomes(state, splits), class_of, d, spec, verdicts
+        )
         if src in lumped_rows and lumped_rows[src] != row:
             raise AssertionError(
                 "stub states of one class produced different collapsed rows"
@@ -454,6 +446,22 @@ def build_vertex_chain_lumped(
     )
     _check_rows(rows, denominator)
     return ChainGraph(spec, d, states, list(class_keys), rows, denominator)
+
+
+def _stub_outcomes(state: StubState, splits: dict[tuple, list[Split]]):
+    """:func:`_class_outcomes` of a stub state, from its stub-level splits.
+
+    Repartitions with one vertex-level outcome share its alpha, target
+    class and feature verdict, so they are counted as one.
+    """
+    for i, j, denom, tail_splits, head_splits in _stub_transitions(state, splits):
+        outcomes: Counter[tuple[Hyperarc, Hyperarc]] = Counter(
+            ((ti_v, hi_v), (tj_v, hj_v))
+            for (_, _, ti_v, tj_v), (_, _, hi_v, hj_v) in product(
+                tail_splits, head_splits
+            )
+        )
+        yield i, j, denom, outcomes.items()
 
 
 def check_regular(g: ChainGraph) -> tuple[bool, tuple[int, int] | None]:

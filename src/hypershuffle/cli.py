@@ -18,7 +18,6 @@ import os
 import sys
 from collections import Counter
 from contextlib import ExitStack
-from math import comb
 
 from . import __version__
 from .chains import (
@@ -51,7 +50,7 @@ from .hypergraph import (
     degree_sequence,
     in_space,
 )
-from .replicas import _run_replicas
+from .replicas import _outcome_count, _run_replicas
 from .reproduce import TARGETS
 from .shuffle import ChainConfig, run_chain, spawn_seed
 from .validation import stub_pushforward_weights, uniformity_test
@@ -130,21 +129,14 @@ def _use_replicas(
     The replica engine decides each distinct outcome once, and on a small
     outcome space looks the repeats up in one gather over a packed-code
     table; ``sample`` then writes and canonicalizes each distinct final row
-    once.  So it wins only where outcomes repeat.  One step from a state
-    draws one of at most ``C(m, 2) * T * H`` outcomes: a pair of the ``m``
-    arc slots, then a tail and a head split, ``T`` and ``H`` being the
-    largest split counts of two slots.  So the route needs at least that
-    many samples, and ``_MIN_REPLICAS``.  Without ``report`` the run must
-    also be long enough to repay importing numpy.  Alpha denominators are
-    at most twice that outcome count, so a routed run stays inside the
-    engine's ``2**53`` range.
+    once.  So it wins only where outcomes repeat: the route needs at least
+    as many samples as one step from ``H0`` can draw outcomes
+    (``replicas._outcome_count``), and ``_MIN_REPLICAS``.  Without
+    ``report`` the run must also be long enough to repay importing numpy.
+    Alpha denominators are at most twice that outcome count, so a routed
+    run stays inside the engine's ``2**53`` range.
     """
-    outcomes = comb(H0.n_arcs, 2)
-    if outcomes:
-        for side in (0, 1):
-            small, large = sorted(len(arc[side]) for arc in H0.arcs)[-2:]
-            outcomes *= comb(small + large, small)
-    if samples < max(_MIN_REPLICAS, outcomes):
+    if samples < max(_MIN_REPLICAS, _outcome_count(H0)):
         return False
     return report is not None or samples * steps >= _MIN_STEPS_WITHOUT_REPORT
 

@@ -20,9 +20,10 @@ from .hypergraph import (
     Hyperarc,
     Multiset,
     SpaceSpec,
+    _arc_ok,
+    _feature_ok,
     canonical_form,
     canonicalize,
-    classify_features,
     multiset,
 )
 
@@ -108,22 +109,9 @@ def enumerate_vertex_space(
 def _arc_admissible(
     a: Hyperarc, prefix: list[Hyperarc], same_size_prev: bool, spec: SpaceSpec
 ) -> bool:
-    tail, head = a
-    if not spec.allow_self_loops:
-        if spec.overlap_self_loops:
-            if set(tail) & set(head):
-                return False
-        elif tail == head:
-            return False
-    if not spec.allow_degenerate and (_repeats(tail) or _repeats(head)):
+    if not _arc_ok(a, spec):
         return False
-    if not spec.allow_multi and same_size_prev and prefix and a == prefix[-1]:
-        return False
-    return True
-
-
-def _repeats(ms: Multiset) -> bool:
-    return any(ms[k] == ms[k + 1] for k in range(len(ms) - 1))
+    return spec.allow_multi or not (same_size_prev and prefix and a == prefix[-1])
 
 
 def stub_state_to_hypergraph(state: StubState, n_vertices: int) -> DirectedHypergraph:
@@ -133,10 +121,6 @@ def stub_state_to_hypergraph(state: StubState, n_vertices: int) -> DirectedHyper
         for tail, head in state
     )
     return canonicalize(DirectedHypergraph(n_vertices, arcs))
-
-
-def _feature_ok(H: DirectedHypergraph, spec: SpaceSpec) -> bool:
-    return not classify_features(H, spec.overlap_self_loops).forbidden_by(spec)
 
 
 def _vertices(stubs: tuple[Stub, ...]) -> Multiset:

@@ -227,6 +227,13 @@ def _has_repeat(ms: Multiset) -> bool:
     return len(set(ms)) < len(ms)
 
 
+def _arc_ok(a: Hyperarc, spec: SpaceSpec) -> bool:
+    """Whether ``a`` is free of the self-loop and degenerate features ``spec`` forbids."""
+    return (spec.allow_self_loops or not is_self_loop(a, spec.overlap_self_loops)) and (
+        spec.allow_degenerate or not is_degenerate(a)
+    )
+
+
 @dataclass(frozen=True)
 class FeatureReport:
     """Per-arc feature flags: indices of offending arcs, grouped for multis."""
@@ -276,10 +283,12 @@ def in_space(H: DirectedHypergraph, spec: SpaceSpec, d: DegreeSequence) -> bool:
     True iff the degree sequence matches (arc degrees as multisets) and no
     feature forbidden by ``spec`` is present.
     """
-    if not degree_sequence(H).compatible_with(d):
-        return False
-    report = classify_features(H, spec.overlap_self_loops)
-    return not report.forbidden_by(spec)
+    return degree_sequence(H).compatible_with(d) and _feature_ok(H, spec)
+
+
+def _feature_ok(H: DirectedHypergraph, spec: SpaceSpec) -> bool:
+    """No feature forbidden by ``spec``: the feature half of :func:`in_space`."""
+    return not classify_features(H, spec.overlap_self_loops).forbidden_by(spec)
 
 
 def canonical_form(H: DirectedHypergraph) -> bytes:

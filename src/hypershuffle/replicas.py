@@ -10,8 +10,9 @@ positions ``i < j`` as ``shuffle._draw_proposal`` does, a tail-split index
 in ``[0, C(t_i + t_j, t_i))``, a head-split index likewise and, in vertex
 mode, the thinning uniform.  Each distinct outcome ``(id_i, id_j, tail
 index, head index)`` is evaluated once and cached, by ``shuffle._split_at``
-(the split), ``_outcome_admissible`` (self-loop, degenerate, ``arc_a ==
-arc_b``) and ``_alpha_outcome`` (alpha's outcome part).  What depends on a
+(the split the scalar kernel deals for the same index),
+``_outcome_admissible`` (self-loop, degenerate, ``arc_a == arc_b``) and
+``_alpha_outcome`` (alpha's outcome part).  What depends on a
 replica's other arcs, copies of a new arc among the ``m - 2`` that stay and
 alpha's pair multiplicities, is compared per row as in ``_admissible`` and
 ``_alpha_terms``, and ``_alpha_rejects`` thins elementwise.  Finals are
@@ -41,6 +42,10 @@ afresh.  Limits raise ``ValueError`` rather than round: a slot pair with
 ``2**63`` or more splits, past the int64 index draw (checked before
 stepping), and in vertex mode an alpha denominator of ``2**53`` or more,
 finer than the 53-bit thinning uniform (checked when drawn).
+
+One step from a start can draw at most :func:`_outcome_count` outcomes,
+``C(m, 2) * T * H``; ``hypershuffle sample`` routes here only with at
+least that many samples.
 
 Randomness comes from ``numpy.random.Generator`` (PCG64) seeded once, so a
 given (start, spec, steps, replicas, seed) is reproducible bit for bit.
@@ -91,17 +96,11 @@ def sample_replicas(
     steps: int,
     replicas: int,
     seed: int,
-    bias_alpha_one: bool = False,
 ) -> Counter[bytes]:
-    """Run ``replicas`` chains of ``steps`` steps; count final canonical forms.
-
-    ``bias_alpha_one`` skips the vertex-labeled acceptance probability (a
-    deliberately broken sampler used as a negative control); it has no
-    effect in stub mode.
-    """
+    """Run ``replicas`` chains of ``steps`` steps; count final canonical forms."""
     import numpy as np
 
-    ids, arcs = _run_replicas(H0, spec, steps, replicas, seed, bias_alpha_one)
+    ids, arcs = _run_replicas(H0, spec, steps, replicas, seed)
     if replicas == 0:
         return Counter()
     if H0.n_arcs < 2 or steps == 0:
@@ -121,7 +120,6 @@ def _run_replicas(
     steps: int,
     replicas: int,
     seed: int,
-    bias_alpha_one: bool = False,
 ) -> tuple[np.ndarray, list[Hyperarc]]:
     """The chains of :func:`sample_replicas`, as final rows and their arc table.
 
@@ -148,7 +146,7 @@ def _run_replicas(
     h_size = np.array([len(h) for _, h in H0.arcs])
     tail_splits, head_splits = _split_counts(t_size), _split_counts(h_size)
     tails, heads = int(tail_splits.max()), int(head_splits.max())
-    thin = spec.labeling == "vertex" and not bias_alpha_one
+    thin = spec.labeling == "vertex"
     cache: dict[tuple[int, ...], tuple] = {}
     table: np.ndarray | None = None
     capacity = 0
@@ -268,22 +266,44 @@ def _run_replicas(
     return ids, arcs
 
 
+def _outcome_count(H0: DirectedHypergraph) -> int:
+    """How many outcomes one step from ``H0`` can draw: ``C(m, 2) * T * H``.
+
+    A step draws a pair of the ``m`` arc slots, then a tail and a head
+    split; ``T`` and ``H`` are the largest tail and head split counts of two
+    slots, the largest entries of :func:`_split_counts`.  0 below two arcs.
+    """
+    if H0.n_arcs < 2:
+        return 0
+    tails = _largest_split_count([len(t) for t, _ in H0.arcs])
+    heads = _largest_split_count([len(h) for _, h in H0.arcs])
+    return comb(H0.n_arcs, 2) * tails * heads
+
+
+def _largest_split_count(sizes: list[int]) -> int:
+    """``C(s + t, s)`` for the two largest sizes: the most splits two slots pool to."""
+    t, s = sorted(sizes)[-2:]
+    return comb(s + t, s)
+
+
 def _split_counts(sizes: np.ndarray) -> np.ndarray:
     """``C(s + t, s)`` at ``[s, t]`` for the sizes ``s, t`` of any two slots.
 
-    ``ValueError`` at ``2**63`` or more, past the int64 index draw; the
-    largest count is at the two largest sizes.  Pairs of sizes that no two
-    slots have are 0, so the largest entry is the largest count a step draws.
+    ``ValueError`` at ``2**63`` or more, past the int64 index draw.  Pairs
+    of sizes that no two slots have are 0, so the largest entry is
+    :func:`_largest_split_count`, the largest count a step draws.
     """
     import numpy as np
 
-    t, s = sorted(sizes.tolist())[-2:]
-    if comb(s + t, s) >= _INDEX_LIMIT:
+    sizes = sizes.tolist()
+    largest = _largest_split_count(sizes)
+    if largest >= _INDEX_LIMIT:
         raise ValueError(
-            f"a {s + t}-stub pool has {comb(s + t, s)} splits, "
+            f"a {sum(sorted(sizes)[-2:])}-stub pool has {largest} splits, "
             "past the 2**63 the replica engine's index draw covers"
         )
-    slots = Counter(sizes.tolist())
+    s = max(sizes)
+    slots = Counter(sizes)
     table = np.zeros((s + 1, s + 1), dtype=np.int64)
     for a in slots:
         for b in slots:

@@ -16,10 +16,11 @@ acceptance probability before the feature check (see
 
 Draw order (fixed; fixed-seed traces depend on it): each step draws the arc
 pair (two ``randrange`` calls), then the tail split, then the head split
-(one ``randrange`` over the subset table each, or ``rng.sample`` for pools
-with more than ``_COMBO_LIMIT`` splits), and in vertex-labeled mode one
-``rng.random()`` for the thinning, whether or not the proposal then breaks
-a feature rule.
+(one ``randrange(C(n, k))`` each, the index of the split in
+``itertools.combinations`` order, see :func:`_split_at`), and in
+vertex-labeled mode one ``rng.random()`` for the thinning, whether or not
+the proposal then breaks a feature rule.  One function, :func:`_move`,
+draws and decides a step for both :func:`step` and :func:`run_chain`.
 
 Chain state.  :func:`run_chain` does not build a :class:`DirectedHypergraph`
 per step.  It keeps a private list of arcs, positional like
@@ -56,11 +57,10 @@ from .hypergraph import (
     Hyperarc,
     Multiset,
     SpaceSpec,
+    _arc_ok,
     _canonical_bytes,
     degree_sequence,
     in_space,
-    is_degenerate,
-    is_self_loop,
 )
 
 
@@ -83,10 +83,8 @@ class ShuffleProposal(NamedTuple):
     new_head_j: Multiset
 
 
-# Splits of range(n) into a size-k part and its complement, enumerated once;
-# drawing an index from this table is both faster and easier to reason about
-# than random.sample for the small pools a shuffle sees.  Larger pools fall
-# back to rng.sample.
+# Splits of range(n) into a size-k part and its complement, enumerated once
+# for the small pools a shuffle sees; larger pools are unranked per draw.
 _COMBO_LIMIT = 4096
 
 # random.Random.random() returns k / 2**53 for an integer k.
@@ -106,24 +104,16 @@ def _split_table(n: int, k: int):
 
 
 def _draw_split(pool: list[int], k: int, rng: random.Random):
-    """Split pool into a uniformly random size-k part and its complement.
+    """Split pool into a uniformly random size-k part and its complement."""
+    return _split_at(pool, k, rng.randrange(comb(len(pool), k)))
+
+
+def _split_at(pool: list[int], k: int, index: int):
+    """Split ``index`` of ``pool`` in ``itertools.combinations`` order.
 
     The pool is sorted, and a subset of a sorted sequence taken in index
     order is sorted too, so both parts come back as valid multisets.
     """
-    n = len(pool)
-    table = _split_table(n, k)
-    if table is not None:
-        picked, rest = table[rng.randrange(len(table))]
-    else:
-        picked = sorted(rng.sample(range(n), k))
-        chosen = set(picked)
-        rest = [t for t in range(n) if t not in chosen]
-    return tuple([pool[t] for t in picked]), tuple([pool[t] for t in rest])
-
-
-def _split_at(pool: list[int], k: int, index: int):
-    """The split :func:`_draw_split` deals when it draws table entry ``index``."""
     table = _split_table(len(pool), k)
     if table is None:
         return _unrank_split(pool, k, index)
@@ -146,12 +136,15 @@ def _unrank_split(pool: list[int], k: int, index: int):
     return tuple(picked), tuple(rest)
 
 
-def _draw_proposal(arcs, rng: random.Random) -> ShuffleProposal:
-    """Arc pair, then tail split, then head split; ``len(arcs) >= 2``.
+def _draw_proposal(arcs, rng: random.Random):
+    """Arc pair, then tail split, then head split: ``(i, j, arc_a, arc_b)``.
 
-    Tail and head sizes stay attached to their original arc slots.
+    ``i < j``, and ``arc_a``, ``arc_b`` are the arcs proposed for slots
+    ``i`` and ``j``; tail and head sizes stay attached to their slots.
     """
     m = len(arcs)
+    if m < 2:
+        raise ProposalError("need at least two hyperarcs to shuffle")
     i = rng.randrange(m)
     j = rng.randrange(m - 1)
     if j >= i:
@@ -159,9 +152,9 @@ def _draw_proposal(arcs, rng: random.Random) -> ShuffleProposal:
     if i > j:
         i, j = j, i
     (tail_i, head_i), (tail_j, head_j) = arcs[i], arcs[j]
-    new_tail_i, new_tail_j = _draw_split(sorted(tail_i + tail_j), len(tail_i), rng)
-    new_head_i, new_head_j = _draw_split(sorted(head_i + head_j), len(head_i), rng)
-    return ShuffleProposal(i, j, new_tail_i, new_head_i, new_tail_j, new_head_j)
+    tail_a, tail_b = _draw_split(sorted(tail_i + tail_j), len(tail_i), rng)
+    head_a, head_b = _draw_split(sorted(head_i + head_j), len(head_i), rng)
+    return i, j, (tail_a, head_a), (tail_b, head_b)
 
 
 def propose(H: DirectedHypergraph, rng: random.Random) -> ShuffleProposal:
@@ -170,9 +163,8 @@ def propose(H: DirectedHypergraph, rng: random.Random) -> ShuffleProposal:
     Draw order (fixed for reproducibility): arc pair, tail split, head
     split.  Tail and head sizes stay attached to their original arc slots.
     """
-    if H.n_arcs < 2:
-        raise ProposalError("need at least two hyperarcs to shuffle")
-    return _draw_proposal(H.arcs, rng)
+    i, j, (tail_a, head_a), (tail_b, head_b) = _draw_proposal(H.arcs, rng)
+    return ShuffleProposal(i, j, tail_a, head_a, tail_b, head_b)
 
 
 def proposal_probability(H: DirectedHypergraph, p: ShuffleProposal) -> Fraction:
@@ -189,14 +181,11 @@ def proposed_arcs(p: ShuffleProposal) -> tuple[Hyperarc, Hyperarc]:
 
 def _outcome_admissible(arc_a: Hyperarc, arc_b: Hyperarc, spec: SpaceSpec) -> bool:
     """Self-loop, degenerate and (multi forbidden) ``arc_a == arc_b`` rules."""
-    if not spec.allow_self_loops:
-        overlap = spec.overlap_self_loops
-        if is_self_loop(arc_a, overlap) or is_self_loop(arc_b, overlap):
-            return False
-    if not spec.allow_degenerate:
-        if is_degenerate(arc_a) or is_degenerate(arc_b):
-            return False
-    return spec.allow_multi or arc_a != arc_b
+    return (
+        _arc_ok(arc_a, spec)
+        and _arc_ok(arc_b, spec)
+        and (spec.allow_multi or arc_a != arc_b)
+    )
 
 
 def _admissible(
@@ -314,6 +303,25 @@ def _split_weight(part_a: Multiset, part_b: Multiset) -> int:
     return w
 
 
+def _move(arcs, count: Callable[[Hyperarc], int], spec: SpaceSpec, rng: random.Random):
+    """Draw a proposal on ``arcs`` and decide it: ``(i, j, arc_a, arc_b)`` or None.
+
+    ``count`` is as in :func:`_admissible`.  In vertex mode the thinning
+    uniform is drawn before the feature check, so a step consumes it
+    whether or not the proposal is admissible.  None means the proposal
+    broke a feature rule or was thinned out; the state stays put.
+    """
+    move = _draw_proposal(arcs, rng)
+    i, j, arc_a, arc_b = move
+    a, b = arcs[i], arcs[j]
+    u = rng.random() if spec.labeling == "vertex" else None
+    if not _admissible(a, b, arc_a, arc_b, spec, count):
+        return None
+    if u is not None and _alpha_rejects(u, *_alpha_terms(a, b, arc_a, arc_b, count)):
+        return None
+    return move
+
+
 def step(
     H: DirectedHypergraph,
     spec: SpaceSpec,
@@ -326,18 +334,13 @@ def step(
     is built without re-validating its arcs, which the shuffle dealt from
     ``H``'s own; :func:`apply_shuffle` validates, for hand-built proposals.
     """
-    p = propose(H, rng)
-    a, b = H.arcs[p.arc_i], H.arcs[p.arc_j]
-    arc_a, arc_b = proposed_arcs(p)
-    if spec.labeling == "vertex":
-        u = rng.random()
-        if _alpha_rejects(u, *_alpha_terms(a, b, arc_a, arc_b, H.arcs.count)):
-            return H
-    if not _admissible(a, b, arc_a, arc_b, spec, H.arcs.count):
+    move = _move(H.arcs, H.arcs.count, spec, rng)
+    if move is None:
         return H
+    i, j, arc_a, arc_b = move
     new_arcs = list(H.arcs)
-    new_arcs[p.arc_i] = arc_a
-    new_arcs[p.arc_j] = arc_b
+    new_arcs[i] = arc_a
+    new_arcs[j] = arc_b
     # _draw_proposal deals sorted tuples of this hypergraph's own vertices.
     return H._replace_normalized_arcs(tuple(new_arcs))
 
@@ -374,7 +377,6 @@ def run_chain(H0: DirectedHypergraph, config: ChainConfig) -> ChainResult:
     if not in_space(H0, spec, degree_sequence(H0)):
         raise ChainConfigError("start state is outside the configured space")
     rng = random.Random(config.seed)
-    vertex = spec.labeling == "vertex"
     n = H0.n_vertices
     arcs = list(H0.arcs)
     counts = Counter(arcs)
@@ -384,26 +386,20 @@ def run_chain(H0: DirectedHypergraph, config: ChainConfig) -> ChainResult:
         trace.append(_canonical_bytes(n, arcs))
     movable = len(arcs) >= 2
     for _ in range(config.steps):
-        if movable:
-            i, j, tail_i, head_i, tail_j, head_j = _draw_proposal(arcs, rng)
+        move = _move(arcs, count, spec, rng) if movable else None
+        if move is not None:
+            i, j, arc_a, arc_b = move
             a, b = arcs[i], arcs[j]
-            arc_a, arc_b = (tail_i, head_i), (tail_j, head_j)
-            # Drawn before the feature check, so a vertex-mode step consumes
-            # it whether or not the proposal is admissible, as in step().
-            u = rng.random() if vertex else 0.0
-            if _admissible(a, b, arc_a, arc_b, spec, count) and not (
-                vertex and _alpha_rejects(u, *_alpha_terms(a, b, arc_a, arc_b, count))
-            ):
-                arcs[i] = arc_a
-                arcs[j] = arc_b
-                counts[arc_a] += 1
-                counts[arc_b] += 1
-                for old in (a, b):
-                    left = counts[old] - 1
-                    if left:
-                        counts[old] = left
-                    else:
-                        del counts[old]
+            arcs[i] = arc_a
+            arcs[j] = arc_b
+            counts[arc_a] += 1
+            counts[arc_b] += 1
+            for old in (a, b):
+                left = counts[old] - 1
+                if left:
+                    counts[old] = left
+                else:
+                    del counts[old]
         if trace is not None:
             trace.append(_canonical_bytes(n, arcs))
     final = H0.replace_arcs(arcs)

@@ -229,13 +229,20 @@ class CounterexampleReport:
     digraph_disconnections: dict[str, dict]
 
     @property
-    def all_confirmed(self) -> bool:
+    def frozen_start_confirmed(self) -> bool:
+        """The frozen start is an isolated class with unit diagonal."""
         return (
             self.blocked_class_isolated
             and self.blocked_row_is_identity
             and self.blocked_fiber_closed
             and self.stub_disconnected
             and self.class_space_size >= 2
+        )
+
+    @property
+    def all_confirmed(self) -> bool:
+        return (
+            self.frozen_start_confirmed
             and self.spread_state_present
             and self.control_connected
             and all(
@@ -279,7 +286,7 @@ def counterexample_suite() -> CounterexampleReport:
     blocked_idx = gv.keys.index(blocked_key)
     _, comps_v = check_strongly_connected(gv)
     blocked_class_isolated = [blocked_idx] in comps_v
-    blocked_row_is_identity = gv.rows[blocked_idx] == {blocked_idx: 1}
+    blocked_row_is_identity = gv.numerators[blocked_idx] == {blocked_idx: gv.denominator}
 
     g = build_stub_chain(D1_DEGREES, SpaceSpec.from_string("sd"))
     stub_connected, _ = check_strongly_connected(g)
@@ -289,9 +296,7 @@ def counterexample_suite() -> CounterexampleReport:
         if canonical_form(stub_state_to_hypergraph(state, g.degree.n_vertices))
         == blocked_key
     }
-    blocked_fiber_closed = all(
-        set(g.rows[k]) <= fiber for k in fiber
-    )
+    blocked_fiber_closed = all(set(g.numerators[k]) <= fiber for k in fiber)
 
     control_connected, _ = check_strongly_connected(
         build_stub_chain(D1_DEGREES, SpaceSpec.from_string("sdm"))

@@ -4,8 +4,10 @@ import errno
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -21,7 +23,8 @@ from hypershuffle import (
 )
 from hypershuffle import cli
 from hypershuffle.cli import main
-from conftest import D1_BLOCKED
+from hypershuffle.replicas import _outcome_count, _split_counts
+from conftest import D1_BLOCKED, random_instance
 
 FIG_INSTANCE = """\
 vertices a b c
@@ -391,6 +394,20 @@ class TestRouting:
         assert not cli._use_replicas(fig, samples, steps - 1, None)
         assert cli._use_replicas(fig, samples, steps, None)
         assert cli._use_replicas(fig, samples, 0, "r.json")
+
+    def test_outcome_count_is_the_engine_largest_split_counts(self):
+        import numpy as np
+
+        rng = random.Random(913)
+        for _ in range(300):
+            H = random_instance(rng, max_vertices=5, max_arcs=6, max_side=5)
+            tails = _split_counts(np.array([len(t) for t, _ in H.arcs])).max()
+            heads = _split_counts(np.array([len(h) for _, h in H.arcs])).max()
+            outcomes = comb(H.n_arcs, 2) * int(tails) * int(heads)
+            assert _outcome_count(H) == outcomes
+            floor = max(self.floor, outcomes)
+            assert cli._use_replicas(H, floor, 0, "r.json")
+            assert not cli._use_replicas(H, floor - 1, 0, "r.json")
 
     def test_fewer_than_two_arcs(self):
         assert cli._use_replicas(INSTANCES["one"], self.floor, 0, "r.json")

@@ -168,7 +168,7 @@ class TestEngineBasics:
         space = enumerate_vertex_space(FIG_DEGREES, spec)
         fair = sample_replicas(space[0], spec, steps=60, replicas=30_000, seed=11)
         biased = sample_replicas(
-            space[0], spec, steps=60, replicas=30_000, seed=11, bias_alpha_one=True
+            space[0], SpaceSpec.from_string("sdm"), steps=60, replicas=30_000, seed=11
         )
         keys = sorted({*fair, *biased})
         fair_vec = np.array([fair.get(k, 0) for k in keys], dtype=float)
@@ -199,8 +199,8 @@ class TestSampledUniformity:
         space = enumerate_vertex_space(FIG_DEGREES, SDM)
         keys = [canonical_form(H) for H in space]
         counts = sample_replicas(
-            space[0], spec, steps=300, replicas=33_000, seed=5151,
-            bias_alpha_one=True,
+            space[0], SpaceSpec.from_string("sdm"), steps=300, replicas=33_000,
+            seed=5151,
         )
         report = uniformity_test(counts, keys)
         assert report.p_value < 1e-4

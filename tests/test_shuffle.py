@@ -4,7 +4,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
-from math import sqrt
+from math import comb, sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +29,7 @@ from hypershuffle import (
     step,
 )
 from hypershuffle.hypergraph import ALL_FEATURE_SETS
-from hypershuffle.shuffle import reverse_proposal
+from hypershuffle.shuffle import _draw_split, _split_at, reverse_proposal
 from conftest import (
     D1_BLOCKED,
     TWO_ARC_DISTINCT,
@@ -426,6 +426,43 @@ def test_fixed_seed_trace_pins(name, features, labeling, overlap, steps, seed, d
     trace = run_chain(PIN_INSTANCES[name], config).trace
     assert len(trace) == steps + 1
     assert hashlib.sha256(b"\n".join(trace)).hexdigest() == digest
+
+
+# Two 8-stub tails pool to C(16, 8) = 12,870 splits, past the 4,096-split
+# table, so those splits are unranked; the third arc can turn into a
+# self-loop, which the empty space rejects.
+LARGE_POOLS = hypergraph(18, [(range(8), (16,)), (range(8, 16), (17,)), ((16,), (0,))])
+
+LARGE_POOL_PINS = [
+    ("stub", 300, 2027,
+     "626865aadfadc693c6af4a24c2c7e69aaa929d2a0dcd550ff2b394d12bbf6765"),
+    ("vertex", 300, 2027,
+     "a47a393cb7b094c666bee096db10535d6813cef8eeadbb808ecf1dd57fb04486"),
+]
+
+
+@pytest.mark.parametrize("labeling,steps,seed,digest", LARGE_POOL_PINS,
+                         ids=[p[0] for p in LARGE_POOL_PINS])
+def test_trace_pins_past_the_split_table(labeling, steps, seed, digest):
+    spec = SpaceSpec.from_string("", labeling)
+    config = ChainConfig(steps=steps, seed=seed, spec=spec, record_trace=True)
+    trace = run_chain(LARGE_POOLS, config).trace
+    assert hashlib.sha256(b"\n".join(trace)).hexdigest() == digest
+    assert len(set(trace)) > 1
+    d, H, rng = degree_sequence(LARGE_POOLS), LARGE_POOLS, random.Random(seed)
+    for key in trace[1:]:
+        H = step(H, spec, rng)
+        assert canonical_form(H) == key
+        assert in_space(H, spec, d)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (6, 3), (12, 6), (16, 8), (20, 7)])
+def test_draw_split_deals_split_at_of_the_drawn_index(n, k):
+    # C(12, 6) = 924 splits sit in the table; C(16, 8) and C(20, 7) do not.
+    pool = sorted(random.Random(n).choices(range(5), k=n))
+    for seed in range(50):
+        index = random.Random(seed).randrange(comb(n, k))
+        assert _draw_split(pool, k, random.Random(seed)) == _split_at(pool, k, index)
 
 
 @st.composite
