@@ -46,6 +46,7 @@ from .enumeration import (
 )
 from .hypergraph import (
     DegreeSequence,
+    DirectedHypergraph,
     Hyperarc,
     Multiset,
     SpaceSpec,
@@ -361,6 +362,52 @@ def _thinned_row(
             part[target] += w * num
         target_proj[i], target_proj[j] = a, b
     return _fold(terms)  # in lowest terms, so equal rows compare equal
+
+
+def class_components(
+    d: DegreeSequence, spec: SpaceSpec
+) -> tuple[list[DirectedHypergraph], list[list[int]]]:
+    """The classes of a space and the components of the walk on them.
+
+    Connectivity needs only the support of the chain, so no entry is
+    computed: each class's moves are listed once by :func:`_class_outcomes`
+    and every allowed target is joined to its source.  These components are
+    those of the stub-labeled walk, read through the projection to classes:
+
+    - a shuffle of two arcs that only trades two stubs of one vertex between
+      them leaves the projection, and so the feature verdict, unchanged;
+    - such trades connect every stub state of a class;
+    - every move can be reversed, by shuffling the same two arcs back.
+
+    So the stub chain's strongly connected components map one to one onto
+    these components, and vertex-labeled chains share that support because
+    alpha > 0.  Returns the classes in :func:`enumerate_vertex_space` order
+    and their partition: each component sorted, components ordered by
+    smallest member, as in :func:`check_strongly_connected`.
+    """
+    classes = enumerate_vertex_space(d, spec)
+    class_of = {H.arcs: k for k, H in enumerate(classes)}
+    parent = list(range(len(classes)))
+
+    def root(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    verdicts: dict[ProjectedState, bool] = {}
+    for src, H in enumerate(classes):
+        target_proj = list(H.arcs)
+        for i, j, _, outcomes in _class_outcomes(H.arcs):
+            for (arc_a, arc_b), _ in outcomes:
+                target_proj[i], target_proj[j] = arc_a, arc_b
+                if _allowed(target_proj, d.n_vertices, spec, verdicts):
+                    parent[root(class_of[tuple(sorted(target_proj))])] = root(src)
+            target_proj[i], target_proj[j] = H.arcs[i], H.arcs[j]
+    components: defaultdict[int, list[int]] = defaultdict(list)
+    for k in range(len(classes)):
+        components[root(k)].append(k)
+    return classes, sorted(components.values())
 
 
 def _multiset_splits(pool: tuple[int, ...], k: int):

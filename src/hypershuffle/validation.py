@@ -14,12 +14,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .chains import build_stub_chain, check_strongly_connected
-from .enumeration import (
-    STUB_STATE_LIMIT,
-    count_stub_realizations,
-    enumerate_vertex_space,
-)
+from .chains import build_stub_chain, check_strongly_connected, class_components
+from .enumeration import count_stub_realizations, enumerate_vertex_space
 from .hypergraph import (
     DegreeSequence,
     DirectedHypergraph,
@@ -298,9 +294,7 @@ def counterexample_suite() -> CounterexampleReport:
     }
     blocked_fiber_closed = all(set(g.numerators[k]) <= fiber for k in fiber)
 
-    control_connected, _ = check_strongly_connected(
-        build_stub_chain(D1_DEGREES, SpaceSpec.from_string("sdm"))
-    )
+    _, control = class_components(D1_DEGREES, SpaceSpec.from_string("sdm"))
 
     disconnections = {
         features: find_digraph_disconnection(features)
@@ -315,7 +309,7 @@ def counterexample_suite() -> CounterexampleReport:
         class_space_size=gv.n_states,
         stub_space_size=g.n_states,
         spread_state_present=spread_key in gv.keys,
-        control_connected=control_connected,
+        control_connected=len(control) == 1,
         digraph_disconnections=disconnections,
     )
 
@@ -327,31 +321,30 @@ def find_digraph_disconnection(
 
     Spaces without self-loops reduce to (multi)digraph spaces when every
     arc is a single edge; the search sweeps vertex degree sequences in
-    increasing size and returns the first disconnected chain graph found.
+    increasing size and returns the first whose walk is disconnected.
+    Connectivity is decided on canonical classes (:func:`class_components`);
+    ``n_states`` counts the stub states of the instance found.  Past 8 arcs
+    the instances exceed :func:`enumerate_vertex_space`'s stub guard, which
+    raises ``EnumerationLimitError``.
     """
     if "s" in features:
         raise ValueError("the reduction argument concerns no-self-loop spaces")
     spec = SpaceSpec.from_string(features)
     for n in range(2, max_vertices + 1):
         for k in range(2, max_arcs + 1):
-            if 2 * k > STUB_STATE_LIMIT:  # stub enumeration guard
-                continue
             for in_deg in _degree_vectors(n, k):
                 for out_deg in _degree_vectors(n, k):
                     d = DegreeSequence(
                         vertex_degrees=tuple(zip(in_deg, out_deg)),
                         arc_degrees=((1, 1),) * k,
                     )
-                    g = build_stub_chain(d, spec)
-                    if g.n_states < 2:
-                        continue
-                    connected, components = check_strongly_connected(g)
-                    if not connected:
+                    classes, components = class_components(d, spec)
+                    if len(components) > 1:
                         return {
                             "found": True,
                             "vertex_degrees": [list(p) for p in d.vertex_degrees],
                             "n_arcs": k,
-                            "n_states": g.n_states,
+                            "n_states": sum(map(count_stub_realizations, classes)),
                             "n_components": len(components),
                         }
     return {"found": False}

@@ -27,11 +27,14 @@ from hypershuffle.chains import (
     ChainGraph,
     StateSpaceLimitError,
     chain_edge_list,
+    class_components,
     tv_curve_csv,
     with_perturbed_entry,
 )
+from hypershuffle.enumeration import count_stub_realizations, stub_state_to_hypergraph
 from hypershuffle.hypergraph import ALL_FEATURE_SETS, degree_sequence
 from hypershuffle.reproduce import THM1_BATTERY, THM2_BATTERY, THM4_BATTERY
+from hypershuffle.validation import _degree_vectors
 from conftest import (
     D1_BLOCKED,
     D1_DEGREES,
@@ -160,6 +163,88 @@ class TestConnectivity:
         g = build_stub_chain(d, SpaceSpec.from_string("s"))
         connected, _ = check_strongly_connected(g)
         assert connected
+
+
+def assert_class_partition(d: DegreeSequence, spec: SpaceSpec) -> int:
+    """``class_components`` against the stub chain's strong components.
+
+    Each stub state is mapped to its class through its projection; the
+    images of the stub components must be the class components, in the
+    same order.  The classes' realization counts must add up to the stub
+    space.  Returns the number of components.
+    """
+    classes, components = class_components(d, spec)
+    g = build_stub_chain(d, spec)
+    _, stub_components = check_strongly_connected(g)
+    class_of = {H.arcs: k for k, H in enumerate(classes)}
+    image = sorted(
+        sorted({class_of[stub_state_to_hypergraph(g.states[s], d.n_vertices).arcs]
+                for s in comp})
+        for comp in stub_components
+    )
+    assert image == components, (d, spec)
+    assert sum(map(count_stub_realizations, classes)) == g.n_states, (d, spec)
+    return len(components)
+
+
+def mixed_degrees(seed: int):
+    """A random degree sequence of at most 10 stubs with two arc sizes or more."""
+    rng = random.Random(seed)
+    while True:
+        d = degree_sequence(random_instance(rng, max_vertices=4, max_arcs=4, max_side=2))
+        if d.total_stubs <= 10 and len(set(d.arc_degrees)) > 1:
+            return d
+
+
+BATTERY_DEGREES = {
+    name: d for name, d in THM1_BATTERY + THM2_BATTERY + THM4_BATTERY
+}
+
+
+class TestClassComponents:
+    """The support-only oracle against ``build_stub_chain``, partition by partition."""
+
+    @pytest.mark.parametrize("d", BATTERY_DEGREES.values(), ids=BATTERY_DEGREES.keys())
+    def test_batteries(self, d):
+        for features in ALL_FEATURE_SETS:
+            assert_class_partition(d, SpaceSpec.from_string(features))
+
+    def test_three_tail_pairs(self):
+        assert assert_class_partition(D1_DEGREES, SpaceSpec.from_string("sd")) == 2
+        assert assert_class_partition(D1_DEGREES, SpaceSpec.from_string("sdm")) == 1
+
+    # With every arc (1,1) no arc is degenerate, so adding ``d`` changes no
+    # space.  Disconnected sequences per space, of 2,169 with 1-4 vertices
+    # and 1-4 arcs.
+    @pytest.mark.parametrize("features, disconnected",
+                             [("", 5), ("m", 35), ("s", 0), ("sm", 0)])
+    def test_every_small_digraph_sequence(self, features, disconnected):
+        spec = SpaceSpec.from_string(features)
+        found = 0
+        for n in range(1, 5):
+            for k in range(1, 5):
+                for in_deg in _degree_vectors(n, k):
+                    for out_deg in _degree_vectors(n, k):
+                        d = DegreeSequence(tuple(zip(in_deg, out_deg)), ((1, 1),) * k)
+                        found += assert_class_partition(d, spec) > 1
+        assert found == disconnected
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mixed_size_sequences(self, seed):
+        d = mixed_degrees(8300 + seed)
+        for features in ALL_FEATURE_SETS:
+            for overlap in (False, True):
+                stub = SpaceSpec.from_string(features, "stub", overlap)
+                assert_class_partition(d, stub)
+                # The vertex chain lists the same classes in the same order.
+                vertex = SpaceSpec.from_string(features, "vertex", overlap)
+                _, components = class_components(d, vertex)
+                assert check_strongly_connected(build_vertex_chain(d, vertex))[1] == components
+
+    def test_empty_space_has_no_component(self):
+        # The one arc these degrees allow is degenerate.
+        d = DegreeSequence(((0, 2), (1, 0)), ((2, 1),))
+        assert class_components(d, SpaceSpec.from_string("")) == ([], [])
 
 
 class TestStationary:

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from hypershuffle import (
+    EnumerationLimitError,
     SampleOutsideSpaceError,
     SpaceSpec,
     canonical_form,
@@ -18,6 +19,8 @@ from hypershuffle import (
     map_to_bipartite,
     uniformity_test,
 )
+import hypershuffle.chains
+import hypershuffle.validation
 from hypershuffle.validation import find_digraph_disconnection, stub_pushforward_weights
 from conftest import FIG_DEGREES, WORKED_EXAMPLE, random_instance
 
@@ -139,6 +142,41 @@ class TestCounterexamples:
         assert found["found"]
         assert found["n_arcs"] == 3
         assert sorted(map(tuple, found["vertex_degrees"])) == [(1, 1)] * 3
+
+
+# The search's results, recorded when it still built a stub chain per
+# candidate: the two directed 3-cycles on three vertices, one stub state each.
+THREE_CYCLES = {
+    "found": True, "vertex_degrees": [[1, 1], [1, 1], [1, 1]],
+    "n_arcs": 3, "n_states": 2, "n_components": 2,
+}
+
+
+class TestDigraphSearch:
+    @pytest.mark.parametrize("features", ["", "d", "m", "dm"])
+    def test_pinned_results(self, features):
+        assert find_digraph_disconnection(features) == THREE_CYCLES
+
+    def test_builds_no_chain_and_enumerates_no_stub_state(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search must not build a stub chain")
+
+        monkeypatch.setattr(hypershuffle.validation, "build_stub_chain", refuse)
+        monkeypatch.setattr(hypershuffle.validation, "check_strongly_connected", refuse)
+        monkeypatch.setattr(hypershuffle.chains, "enumerate_stub_space", refuse)
+        assert find_digraph_disconnection("") == THREE_CYCLES
+
+    def test_two_vertices_stay_connected_up_to_the_stub_guard(self):
+        # Two vertices without self-loops have one class per degree
+        # sequence, so the search runs to its last arc count.
+        assert find_digraph_disconnection("m", max_vertices=2, max_arcs=8) == {
+            "found": False
+        }
+
+    def test_past_the_stub_guard_raises(self):
+        # Nine (1,1) arcs have 18 stubs, past the vertex enumerator's 16.
+        with pytest.raises(EnumerationLimitError):
+            find_digraph_disconnection("m", max_vertices=2, max_arcs=9)
 
 
 def test_pushforward_weights_align():
