@@ -108,11 +108,10 @@ class ChainGraph:
 
     @cached_property
     def rows(self) -> list[Row]:
-        """The entries as exact ``Fraction`` dicts, derived from the integers."""
-        den = self.denominator
-        return [
-            {j: Fraction(p, den) for j, p in row.items()} for row in self.numerators
-        ]
+        """The entries as ``Fraction`` dicts, one shared per distinct numerator."""
+        values = {p for row in self.numerators for p in row.values()}
+        shared = {p: Fraction(p, self.denominator) for p in values}
+        return [{j: shared[p] for j, p in row.items()} for row in self.numerators]
 
     def row_sums(self) -> list[Fraction]:
         den = self.denominator
@@ -162,10 +161,6 @@ def _column_totals(rows: Sequence[IntRow]) -> list[int]:
     return totals
 
 
-def _stub_key(state: StubState) -> bytes:
-    return repr(state).encode("ascii")
-
-
 def _check_rows(rows: Sequence[IntRow], denominator: int) -> None:
     for i, row in enumerate(rows):
         if sum(row.values()) != denominator:
@@ -191,7 +186,21 @@ def _stub_denominator(d: DegreeSequence) -> int:
 def build_stub_chain(
     d: DegreeSequence, spec: SpaceSpec, limit: int = STATE_LIMIT
 ) -> ChainGraph:
-    """Exact transition matrix of the shuffle walk on the stub-labeled space."""
+    """Exact transition matrix of the shuffle walk on the stub-labeled space.
+
+    Shuffling arcs ``i < j`` keeps the state's other arcs, ``others``.  Every
+    stub sits in every state, so the pools are the stubs missing from
+    ``others`` and the slot sizes are ``d``'s arc degrees less theirs: every
+    state holding ``others`` deals the same pools into the same sizes, at
+    most in swapped slot order, which pairs the deals one to one.  So the
+    targets, their multiplicities, the rejected count and the share are
+    the block's, listed once per build as ``(moves, stay)``.  A target
+    other than the state differs from it in both arcs of one pair (``m - 1``
+    arcs fix the last), so a row merges its blocks' ``moves`` and sums
+    their mass on its own diagonal, ``stay`` included; :func:`_check_rows`
+    would see lost mass.  Symmetry is not built in: :func:`check_regular`
+    tests it.
+    """
     states = enumerate_stub_space(d, spec)
     if len(states) > limit:
         raise StateSpaceLimitError(f"{len(states)} states exceed the cap {limit}")
@@ -199,61 +208,52 @@ def build_stub_chain(
     verdicts: dict[ProjectedState, bool] = {}
     splits: dict[tuple, list[Split]] = {}
     denominator = _stub_denominator(d)
+    npairs = comb(d.n_arcs, 2)
     n = d.n_vertices
+
+    def block(a: StubArc, b: StubArc, others: StubState) -> tuple[IntRow, int]:
+        # Each repartition adds one share to its target; a rejection stays.
+        tails = _memo_splits(a[0], b[0], splits)
+        heads = _memo_splits(a[1], b[1], splits)
+        share = denominator // (npairs * len(tails) * len(heads))
+        arcs = [*others, a, b]
+        target_proj = [_project(x) for x in arcs]
+        moves: IntRow = {}
+        stay = 0
+        for (ti, tj, ti_v, tj_v), (hi, hj, hi_v, hj_v) in product(tails, heads):
+            target_proj[-2:] = (ti_v, hi_v), (tj_v, hj_v)
+            if not _allowed(target_proj, n, spec, verdicts):
+                stay += share
+                continue
+            arcs[-2:] = (ti, hi), (tj, hj)
+            target = index.get(tuple(sorted(arcs)))
+            if target is None:
+                raise AssertionError("one-shuffle target missing from enumerated space")
+            moves[target] = moves.get(target, 0) + share
+        return moves, stay
+
+    blocks: dict[StubState, tuple[IntRow, int]] = {}
     rows: list[IntRow] = []
     for self_idx, state in enumerate(states):
-        arcs = list(state)
-        projected = [_project(a) for a in state]
-        target_proj = list(projected)
         row: IntRow = {}
-        if len(arcs) < 2:
-            row[self_idx] = denominator
-        for i, j, denom, tail_splits, head_splits in _stub_transitions(arcs, splits):
-            # Each repartition adds one share to its target; a feature
-            # rejection stays put.
-            share = denominator // denom
-            for (ti, tj, ti_v, tj_v), (hi, hj, hi_v, hj_v) in product(
-                tail_splits, head_splits
-            ):
-                target_proj[i], target_proj[j] = (ti_v, hi_v), (tj_v, hj_v)
-                target = self_idx
-                if _allowed(target_proj, n, spec, verdicts):
-                    arcs[i], arcs[j] = (ti, hi), (tj, hj)
-                    target = index.get(tuple(sorted(arcs)))
-                    if target is None:
-                        raise AssertionError(
-                            "one-shuffle target missing from enumerated space"
-                        )
-                row[target] = row.get(target, 0) + share
-            arcs[i], arcs[j] = state[i], state[j]
-            target_proj[i], target_proj[j] = projected[i], projected[j]
+        diagonal = 0 if len(state) > 1 else denominator
+        for i, j in combinations(range(len(state)), 2):
+            others = state[:i] + state[i + 1 : j] + state[j + 1 :]
+            moves_stay = blocks.get(others)
+            if moves_stay is None:
+                moves_stay = blocks[others] = block(state[i], state[j], others)
+            moves, stay = moves_stay
+            row.update(moves)
+            diagonal += moves.get(self_idx, 0) + stay
+        row[self_idx] = diagonal
         rows.append(row)
     _check_rows(rows, denominator)
-    keys = [_stub_key(s) for s in states]
+    keys = [repr(s).encode("ascii") for s in states]
     return ChainGraph(spec, d, list(states), keys, rows, denominator)
 
 
 # A split of a pooled side: (stubs to arc i, stubs to arc j, and their vertices).
 Split = tuple[tuple[Stub, ...], tuple[Stub, ...], Multiset, Multiset]
-
-
-def _stub_transitions(arcs: Sequence[StubArc], splits: dict[tuple, list[Split]]):
-    """Yield ``(i, j, denom, tail_splits, head_splits)`` per arc pair.
-
-    Every pairing of a tail split with a head split is one stub-level
-    repartition of arcs i and j, proposed with probability ``1/denom``;
-    splits are listed in ``combinations`` order of the stubs going to arc i.
-    ``splits`` memoises the split lists over one build: the same stub pools
-    recur across states.
-    """
-    m = len(arcs)
-    npairs = comb(m, 2)
-    for i, j in combinations(range(m), 2):
-        (tail_i, head_i), (tail_j, head_j) = arcs[i], arcs[j]
-        tail_splits = _memo_splits(tail_i, tail_j, splits)
-        head_splits = _memo_splits(head_i, head_j, splits)
-        denom = npairs * len(tail_splits) * len(head_splits)
-        yield i, j, denom, tail_splits, head_splits
 
 
 def _memo_splits(
@@ -263,14 +263,11 @@ def _memo_splits(
     # Tails and heads share the memo: equal parts have equal splits.
     splits = memo.get((part_i, part_j))
     if splits is None:
-        splits = memo[part_i, part_j] = _splits(
-            tuple(sorted(part_i + part_j)), len(part_i)
-        )
+        pool = tuple(sorted(part_i + part_j))
+        splits = memo[part_i, part_j] = [
+            (a, b, _vertices(a), _vertices(b)) for a, b in _parts(pool, len(part_i))
+        ]
     return splits
-
-
-def _splits(pool: tuple[Stub, ...], k: int) -> list[Split]:
-    return [(a, b, _vertices(a), _vertices(b)) for a, b in _parts(pool, k)]
 
 
 def build_vertex_chain(
@@ -288,8 +285,11 @@ def build_vertex_chain(
         raise StateSpaceLimitError(f"{len(states)} states exceed the cap {limit}")
     class_of = {H.arcs: k for k, H in enumerate(states)}
     verdicts: dict[ProjectedState, bool] = {}
+    memo: dict[tuple, list] = {}
     rows = [
-        _thinned_row(k, H.arcs, _class_outcomes(H.arcs), class_of, d, spec, verdicts)
+        _thinned_row(
+            k, H.arcs, _class_outcomes(H.arcs, memo), class_of, d, spec, verdicts
+        )
         for k, H in enumerate(states)
     ]
     numerators, denominator = _common_denominator(rows)
@@ -302,28 +302,28 @@ def _as_vertex(spec: SpaceSpec) -> SpaceSpec:
     return replace(spec, labeling="vertex")
 
 
-def _class_outcomes(arcs: Sequence[Hyperarc]):
+def _class_outcomes(arcs: Sequence[Hyperarc], memo: dict[tuple, list]):
     """Yield ``(i, j, denom, outcomes)`` per arc pair of a class.
 
     ``outcomes`` lists each vertex-level repartition ``(arc_a, arc_b)`` with
     its number of stub-level splits; each split is proposed with
-    probability ``1/denom``.
+    probability ``1/denom``.  ``memo`` keeps each ``(pool, k)``'s
+    :func:`_multiset_splits` over one build: the same pools recur across
+    classes.
     """
     m = len(arcs)
     npairs = comb(m, 2)
     for i, j in combinations(range(m), 2):
         (tail_i, head_i), (tail_j, head_j) = arcs[i], arcs[j]
         pool_t, pool_h = multiset(tail_i + tail_j), multiset(head_i + head_j)
-        denom = (
-            npairs
-            * comb(len(pool_t), len(tail_i))
-            * comb(len(pool_h), len(head_i))
-        )
-        outcomes = [
-            (((ta, ha), (tb, hb)), w_t * w_h)
-            for ta, tb, w_t in _multiset_splits(pool_t, len(tail_i))
-            for ha, hb, w_h in _multiset_splits(pool_h, len(head_i))
-        ]
+        denom = (npairs * comb(len(pool_t), len(tail_i))
+                 * comb(len(pool_h), len(head_i)))
+        for key in ((pool_t, len(tail_i)), (pool_h, len(head_i))):
+            if key not in memo:
+                memo[key] = list(_multiset_splits(*key))
+        tails, heads = memo[pool_t, len(tail_i)], memo[pool_h, len(head_i)]
+        outcomes = [(((ta, ha), (tb, hb)), w_t * w_h)
+                    for ta, tb, w_t in tails for ha, hb, w_h in heads]
         yield i, j, denom, outcomes
 
 
@@ -396,9 +396,10 @@ def class_components(
         return k
 
     verdicts: dict[ProjectedState, bool] = {}
+    memo: dict[tuple, list] = {}
     for src, H in enumerate(classes):
         target_proj = list(H.arcs)
-        for i, j, _, outcomes in _class_outcomes(H.arcs):
+        for i, j, _, outcomes in _class_outcomes(H.arcs, memo):
             for (arc_a, arc_b), _ in outcomes:
                 target_proj[i], target_proj[j] = arc_a, arc_b
                 if _allowed(target_proj, d.n_vertices, spec, verdicts):
@@ -415,37 +416,21 @@ def _multiset_splits(pool: tuple[int, ...], k: int):
 
     Yields (part_a, part_b, weight) where weight is the number of
     stub-level token splits realizing the pair, i.e. the product over
-    vertices of C(pool_count, part_a_count).
+    vertices of C(pool_count, part_a_count).  Part a's counts run in
+    lexicographic order, vertex by vertex.
     """
-    values: list[int] = []
-    counts: list[int] = []
-    for v in pool:
-        if values and values[-1] == v:
-            counts[-1] += 1
-        else:
-            values.append(v)
-            counts.append(1)
-
-    def rec(idx: int, remaining: int, chosen: list[int], weight: int):
-        if idx == len(values):
-            if remaining == 0:
-                part_a: list[int] = []
-                part_b: list[int] = []
-                for v, c_total, c_a in zip(values, counts, chosen):
-                    part_a.extend([v] * c_a)
-                    part_b.extend([v] * (c_total - c_a))
-                yield tuple(part_a), tuple(part_b), weight
-            return
-        c_total = counts[idx]
-        rest_capacity = sum(counts[idx + 1 :])
-        lo = max(0, remaining - rest_capacity)
-        hi = min(c_total, remaining)
-        for take in range(lo, hi + 1):
-            chosen.append(take)
-            yield from rec(idx + 1, remaining - take, chosen, weight * comb(c_total, take))
-            chosen.pop()
-
-    yield from rec(0, k, [], 1)
+    counts = Counter(pool)  # the pool is sorted, so its vertices ascend
+    for takes in product(*(range(c + 1) for c in counts.values())):
+        if sum(takes) != k:
+            continue
+        part_a: list[int] = []
+        part_b: list[int] = []
+        weight = 1
+        for (v, c), t in zip(counts.items(), takes):
+            part_a += [v] * t
+            part_b += [v] * (c - t)
+            weight *= comb(c, t)
+        yield tuple(part_a), tuple(part_b), weight
 
 
 def build_vertex_chain_lumped(
@@ -498,10 +483,17 @@ def build_vertex_chain_lumped(
 def _stub_outcomes(state: StubState, splits: dict[tuple, list[Split]]):
     """:func:`_class_outcomes` of a stub state, from its stub-level splits.
 
+    Every pairing of a tail split with a head split is one stub-level
+    repartition of arcs i and j, proposed with probability ``1/denom``.
     Repartitions with one vertex-level outcome share its alpha, target
     class and feature verdict, so they are counted as one.
     """
-    for i, j, denom, tail_splits, head_splits in _stub_transitions(state, splits):
+    npairs = comb(len(state), 2)
+    for i, j in combinations(range(len(state)), 2):
+        (tail_i, head_i), (tail_j, head_j) = state[i], state[j]
+        tail_splits = _memo_splits(tail_i, tail_j, splits)
+        head_splits = _memo_splits(head_i, head_j, splits)
+        denom = npairs * len(tail_splits) * len(head_splits)
         outcomes: Counter[tuple[Hyperarc, Hyperarc]] = Counter(
             ((ti_v, hi_v), (tj_v, hj_v))
             for (_, _, ti_v, tj_v), (_, _, hi_v, hj_v) in product(

@@ -21,8 +21,8 @@ from .hypergraph import (
     Multiset,
     SpaceSpec,
     _arc_ok,
+    _canonical_bytes,
     _feature_ok,
-    canonical_form,
     canonicalize,
     multiset,
 )
@@ -70,8 +70,9 @@ def enumerate_vertex_space(
     """All vertex-labeled hypergraphs with degree sequence ``d`` in the space.
 
     Arcs are assigned slot by slot in a canonical order, with same-size arcs
-    forced non-decreasing to avoid permuted duplicates; results are
-    deduplicated on canonical form and returned in a deterministic order.
+    forced non-decreasing: slots of different sizes hold different arcs, so
+    each arc multiset is reached once.  Each class is built once, with its
+    arcs sorted, and the classes are returned sorted by canonical form.
     """
     _check_limit(d, limit)
     n = d.n_vertices
@@ -79,13 +80,12 @@ def enumerate_vertex_space(
     in_budget = [d_in for d_in, _ in d.vertex_degrees]
     slots = sorted(d.arc_degrees, reverse=True)
 
-    found: dict[bytes, DirectedHypergraph] = {}
+    leaves: list[tuple[Hyperarc, ...]] = []
     arcs: list[Hyperarc] = []
 
     def extend(k: int) -> None:
         if k == len(slots):
-            H = DirectedHypergraph(n, tuple(arcs))
-            found.setdefault(canonical_form(H), canonicalize(H))
+            leaves.append(tuple(sorted(arcs)))
             return
         t_size, h_size = slots[k]
         same_size_prev = k > 0 and slots[k - 1] == slots[k]
@@ -103,7 +103,8 @@ def enumerate_vertex_space(
                 arcs.pop()
 
     extend(0)
-    return [found[key] for key in sorted(found)]
+    leaves.sort(key=lambda leaf: _canonical_bytes(n, leaf))
+    return [DirectedHypergraph(n, leaf) for leaf in leaves]
 
 
 def _arc_admissible(
@@ -173,13 +174,16 @@ def enumerate_stub_space(
     verdicts: dict[ProjectedState, bool] = {}
     return sorted(
         state
-        for state in _stub_states(d)
-        if _allowed([_project(a) for a in state], d.n_vertices, spec, verdicts)
+        for state, projection in _stub_states(d)
+        if _allowed(projection, d.n_vertices, spec, verdicts)
     )
 
 
 def _stub_states(d: DegreeSequence):
-    """Every stub-labeled state of ``d``, each once, features unchecked."""
+    """Every stub-labeled state of ``d``, each once, features unchecked.
+
+    Yields ``(state, projection)``, with each deal projected once.
+    """
     out_stubs = tuple(
         (v, k) for v, (_, d_out) in enumerate(d.vertex_degrees) for k in range(d_out)
     )
@@ -189,10 +193,14 @@ def _stub_states(d: DegreeSequence):
     slots = sorted(d.arc_degrees)
     # Inside a run of equal-size slots the tails' first stubs ascend.
     ascending = [k > 0 and slots[k - 1] == slots[k] for k in range(len(slots))]
-    head_deals = list(_deal(in_stubs, [h for _, h in slots], [False] * len(slots)))
+    head_deals = [
+        (heads, [_vertices(h) for h in heads])
+        for heads in _deal(in_stubs, [h for _, h in slots], [False] * len(slots))
+    ]
     for tails in _deal(out_stubs, [t for t, _ in slots], ascending):
-        for heads in head_deals:
-            yield tuple(sorted(zip(tails, heads)))
+        tails_v = [_vertices(t) for t in tails]
+        for heads, heads_v in head_deals:
+            yield tuple(sorted(zip(tails, heads))), list(zip(tails_v, heads_v))
 
 
 def _deal(stubs: tuple[Stub, ...], sizes: list[int], ascending: list[bool]):

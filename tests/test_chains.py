@@ -2,14 +2,17 @@
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import comb, gcd
 
 import numpy as np
 import pytest
 
 from hypershuffle import (
     DegreeSequence,
+    enumerate_stub_space,
     SpaceSpec,
     build_stub_chain,
     build_vertex_chain,
@@ -23,6 +26,7 @@ from hypershuffle import (
     stationary_distribution,
     tv_curve,
 )
+from hypershuffle import chains
 from hypershuffle.chains import (
     ChainGraph,
     StateSpaceLimitError,
@@ -31,7 +35,11 @@ from hypershuffle.chains import (
     tv_curve_csv,
     with_perturbed_entry,
 )
-from hypershuffle.enumeration import count_stub_realizations, stub_state_to_hypergraph
+from hypershuffle.enumeration import (
+    _allowed,
+    count_stub_realizations,
+    stub_state_to_hypergraph,
+)
 from hypershuffle.hypergraph import ALL_FEATURE_SETS, degree_sequence
 from hypershuffle.reproduce import THM1_BATTERY, THM2_BATTERY, THM4_BATTERY
 from hypershuffle.validation import _degree_vectors
@@ -388,6 +396,124 @@ def small_degrees(seed: int):
         H = random_instance(rng, max_vertices=3, max_arcs=3, max_side=2)
         if degree_sequence(H).total_stubs <= 9:
             return degree_sequence(H)
+
+
+def size(arc) -> tuple[int, int]:
+    return len(arc[0]), len(arc[1])
+
+
+def pair_blocks(states) -> dict:
+    """Per ``others``, the slot sizes of the pair beside it, in state order."""
+    blocks: dict = {}
+    for state in states:
+        for i, j in combinations(range(len(state)), 2):
+            others = state[:i] + state[i + 1 : j] + state[j + 1 :]
+            blocks.setdefault(others, set()).add((size(state[i]), size(state[j])))
+    return blocks
+
+
+def block_degrees(seed: int) -> DegreeSequence:
+    """A random degree sequence of 10-12 stubs in 2-3 arcs of sides 1-3.
+
+    Its slots come in two sizes or more, and some pair block of its stub
+    space is reached with the two slot sizes in both orders.  The space has
+    at most 450 states, to keep the ``Fraction`` oracle quick.
+    """
+    rng = random.Random(seed)
+    while True:
+        arcs = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(rng.randint(2, 3))]
+        if not 10 <= sum(map(sum, arcs)) <= 12 or len(set(arcs)) < 2:
+            continue
+        n = rng.randint(2, 4)
+        d_out, d_in = [0] * n, [0] * n
+        for _ in range(sum(t for t, _ in arcs)):
+            d_out[rng.randrange(n)] += 1
+        for _ in range(sum(h for _, h in arcs)):
+            d_in[rng.randrange(n)] += 1
+        d = DegreeSequence(tuple(zip(d_in, d_out)), tuple(arcs))
+        states = enumerate_stub_space(d, SDM)
+        if len(states) <= 450 and any(
+            len(orders) > 1 for orders in pair_blocks(states).values()
+        ):
+            return d
+
+
+def count_allowed(monkeypatch) -> Counter:
+    """Count the feature verdicts ``chains`` asks for, by answer."""
+    calls: Counter = Counter()
+
+    def counted(*args):
+        verdict = _allowed(*args)
+        calls[verdict] += 1
+        return verdict
+
+    monkeypatch.setattr(chains, "_allowed", counted)
+    return calls
+
+
+# Four (1,1) arcs: others of two arcs with the same stubs can pair them
+# differently, so stub pools alone do not name a block.
+FOUR_EDGES = DegreeSequence(((1, 2), (2, 1), (1, 1)), ((1, 1),) * 4)
+TWO_SIZES_D = DegreeSequence(((0, 2), (1, 1), (2, 0)), ((1, 2), (2, 1)))
+
+
+class TestPairBlocks:
+    """``build_stub_chain`` lists each pair block once, keyed by ``others``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_swapped_slot_sizes_match_oracle(self, seed):
+        d = block_degrees(8500 + seed)
+        for features in ALL_FEATURE_SETS:
+            for overlap in (False, True):
+                spec = SpaceSpec.from_string(features, "stub", overlap)
+                assert_matches_oracle(build_stub_chain, fraction_stub_chain, d, spec)
+
+    @pytest.mark.parametrize("features", ["sdm", ""])
+    def test_two_arc_chain_is_one_block(self, features, monkeypatch):
+        # Every state holds the same, empty, others: each row is the one
+        # block's moves plus its own stay, so each column is one positive
+        # value off the diagonal.
+        calls = count_allowed(monkeypatch)
+        spec = SpaceSpec.from_string(features)
+        assert_matches_oracle(build_stub_chain, fraction_stub_chain, TWO_SIZES_D, spec)
+        g = build_stub_chain(TWO_SIZES_D, spec)
+        assert g.n_states > 2
+        for t in range(g.n_states):
+            column = {row.get(t, 0) for s, row in enumerate(g.numerators) if s != t}
+            assert len(column) == 1 and column.pop() > 0
+        # Two builds, each dealing the one block's C(3,1) C(3,2) repartitions once.
+        assert sum(calls.values()) == 2 * 9
+
+    @pytest.mark.parametrize(
+        "d, features",
+        [(D1_DEGREES, "sd"), (FIG_DEGREES, ""), (FOUR_EDGES, "m"), (TWO_SIZES_D, "")],
+    )
+    def test_space_with_rejections(self, d, features, monkeypatch):
+        # Rejected deals stay on each member's own diagonal.
+        calls = count_allowed(monkeypatch)
+        spec = SpaceSpec.from_string(features)
+        assert_matches_oracle(build_stub_chain, fraction_stub_chain, d, spec)
+        assert calls[False] > 0
+        g = build_stub_chain(d, spec)
+        assert check_regular(g)[0]
+
+    @pytest.mark.parametrize(
+        "d", [TWO_ARC_D, TWO_SIZES_D, FIG_DEGREES, D1_DEGREES, FOUR_EDGES,
+              block_degrees(8500)],
+    )
+    def test_targets_listed_once_per_distinct_others(self, d, monkeypatch):
+        # A block deals C(|tail pool|, ta) C(|head pool|, ha) repartitions
+        # and asks one feature verdict for each, once per build.
+        g = build_stub_chain(d, SDM)
+        deals = {}
+        for state in g.states:
+            for i, j in combinations(range(len(state)), 2):
+                others = state[:i] + state[i + 1 : j] + state[j + 1 :]
+                (ta, ha), (tb, hb) = size(state[i]), size(state[j])
+                deals[others] = comb(ta + tb, ta) * comb(ha + hb, ha)
+        calls = count_allowed(monkeypatch)
+        build_stub_chain(d, SDM)
+        assert sum(calls.values()) == sum(deals.values())
 
 
 class TestIntegerRowsMatchFractionOracle:

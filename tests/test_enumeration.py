@@ -20,7 +20,7 @@ from hypershuffle import (
     run_chain,
     stub_state_to_hypergraph,
 )
-from hypershuffle.enumeration import _stub_states
+from hypershuffle.enumeration import _project, _stub_states
 from hypershuffle.hypergraph import ALL_FEATURE_SETS
 from hypershuffle.reproduce import THM1_BATTERY, THM2_BATTERY, THM4_BATTERY
 from conftest import (
@@ -110,6 +110,25 @@ class TestVertexSpace:
         small_keys = {canonical_form(H) for H in small}
         big_keys = {canonical_form(H) for H in big}
         assert small_keys <= big_keys
+
+    @pytest.mark.parametrize(
+        "d",
+        [BATTERIES[name] for name in sorted(BATTERIES)]
+        + [mixed_size_degrees(random.Random(seed)) for seed in range(30)],
+    )
+    def test_each_class_once_in_canonical_order(self, d):
+        # The slot-by-slot search keeps no dedup table, so a repeated leaf
+        # would show here as a repeated key.
+        for spec in ALL_SPECS:
+            space = enumerate_vertex_space(d, spec)
+            keys = [canonical_form(H) for H in space]
+            assert keys == sorted(set(keys)), spec
+            assert all(H.arcs == tuple(sorted(H.arcs)) for H in space)
+            projections = {
+                canonical_form(stub_state_to_hypergraph(s, d.n_vertices))
+                for s in enumerate_stub_space(d, spec)
+            }
+            assert set(keys) == projections, spec
 
     def test_deterministic_order(self):
         a = enumerate_vertex_space(FIG_DEGREES, SDM)
@@ -204,9 +223,13 @@ class TestStubSpace:
         + [mixed_size_degrees(random.Random(seed)) for seed in range(30)],
     )
     def test_generator_yields_each_state_once(self, d):
-        states = list(_stub_states(d))
+        dealt = list(_stub_states(d))
+        states = [state for state, _ in dealt]
         assert len(states) == len(set(states))
         assert set(states) == brute_stub_states(d)
+        # Each state comes with its own vertex projection, in some arc order.
+        for state, projection in dealt:
+            assert sorted(projection) == sorted(map(_project, state))
 
     def test_limit_guard(self):
         d = DegreeSequence(
