@@ -10,15 +10,15 @@ stationary vectors and total-variation curves.
 
 Every row accumulates mass per (arc pair, stub-level repartition): a
 repartition contributes ``C(|A|,2)^-1 C(ta+tb,ta)^-1 C(ha+hb,ha)^-1`` to its
-target, with rejected targets folded onto the diagonal.  On stub states the
-arc sizes fix one denominator that every such weight divides
-(:func:`_stub_denominator`), so each repartition adds an integer share to
-its target.  Vertex-labeled rows are also thinned by acceptance
-probabilities ``num/den``; each row sums its terms over their least common
-denominator once it is finished, and the chain rescales its rows to their
-lcm at the end.  A target's feature verdict depends only on its vertex
-projection and is computed once per chain build.  The checks compare
-integers; :attr:`ChainGraph.rows` gives the entries as ``Fraction`` dicts.
+target, with rejected targets folded onto the diagonal.  Every builder adds
+integer shares over one denominator that the arc sizes fix before its first
+row: :func:`_stub_denominator` on stub states, and ``2 m!`` times it on
+vertex-labeled rows, which acceptance probabilities ``num/den`` also thin
+(:func:`_thinned_row`).  :class:`ChainGraph` checks the row sums and
+reduces to the least denominator once.  A target's feature verdict depends
+only on its vertex projection and is computed once per chain build.  The
+checks compare integers; :attr:`ChainGraph.rows` gives the entries as
+``Fraction`` dicts.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from typing import TYPE_CHECKING, Sequence
 
 from .enumeration import (
@@ -74,8 +74,9 @@ class ChainGraph:
 
     Entry ``(i, j)`` is ``numerators[i][j] / denominator``, and the
     denominator is the least common one: its gcd with every numerator is 1.
-    The builders pass integer ``rows`` with their ``denominator``; without
-    one, ``rows`` are exact rationals (``Fraction`` or ``int`` values).
+    ``rows`` are integer numerators over ``denominator``; each must sum to
+    it, or the constructor raises ``AssertionError``.  Zero entries are
+    dropped.
     """
 
     def __init__(
@@ -84,22 +85,20 @@ class ChainGraph:
         degree: DegreeSequence,
         states: list,  # StubState in stub mode, DirectedHypergraph in vertex mode
         keys: list[bytes],  # canonical key per state, defines the ordering
-        rows: Sequence[IntRow] | Sequence[Row],
-        denominator: int | None = None,
+        rows: Sequence[IntRow],
+        denominator: int,
     ) -> None:
-        if denominator is None:
-            denominator = lcm(*(p.denominator for row in rows for p in row.values()))
-            rows = [
-                {j: p.numerator * (denominator // p.denominator)
-                 for j, p in row.items() if p}
-                for row in rows
-            ]
+        for i, row in enumerate(rows):
+            if sum(row.values()) != denominator:
+                raise AssertionError(
+                    f"row {i} sums to {Fraction(sum(row.values()), denominator)}, not 1"
+                )
         common = gcd(denominator, *(p for row in rows for p in row.values()))
         self.spec = spec
         self.degree = degree
         self.states = states
         self.keys = keys
-        self.numerators = [{j: p // common for j, p in row.items()} for row in rows]
+        self.numerators = [{j: p // common for j, p in r.items() if p} for r in rows]
         self.denominator = denominator // common
 
     @property
@@ -113,10 +112,6 @@ class ChainGraph:
         shared = {p: Fraction(p, self.denominator) for p in values}
         return [{j: shared[p] for j, p in row.items()} for row in self.numerators]
 
-    def row_sums(self) -> list[Fraction]:
-        den = self.denominator
-        return [Fraction(sum(row.values()), den) for row in self.numerators]
-
     def to_dense(self) -> np.ndarray:
         import numpy as np
 
@@ -126,47 +121,6 @@ class ChainGraph:
             for j, p in row.items():
                 P[i, j] = p / den  # correctly rounded, as float(Fraction(p, den))
         return P
-
-
-def _common_denominator(rows: list[tuple[IntRow, int]]) -> tuple[list[IntRow], int]:
-    """Rows given over their own denominators, rescaled to the lcm of those."""
-    den = lcm(*(row_den for _, row_den in rows))
-    return [
-        {j: p * (den // row_den) for j, p in row.items()} for row, row_den in rows
-    ], den
-
-
-def _fold(terms: dict[int, Counter[int]]) -> tuple[IntRow, int]:
-    """A finished row's ``{denominator: {column: numerator}}`` terms, summed.
-
-    Returns the row over the least common denominator of its entries, so
-    that two equal rows compare equal.
-    """
-    den = lcm(*terms)
-    row: IntRow = {}
-    for over, part in terms.items():
-        scale = den // over
-        for j, p in part.items():
-            row[j] = row.get(j, 0) + p * scale
-    row = {j: p for j, p in row.items() if p}
-    common = gcd(den, *row.values())
-    return {j: p // common for j, p in row.items()}, den // common
-
-
-def _column_totals(rows: Sequence[IntRow]) -> list[int]:
-    totals = [0] * len(rows)
-    for row in rows:
-        for j, p in row.items():
-            totals[j] += p
-    return totals
-
-
-def _check_rows(rows: Sequence[IntRow], denominator: int) -> None:
-    for i, row in enumerate(rows):
-        if sum(row.values()) != denominator:
-            raise AssertionError(
-                f"row {i} sums to {Fraction(sum(row.values()), denominator)}, not 1"
-            )
 
 
 def _stub_denominator(d: DegreeSequence) -> int:
@@ -197,9 +151,9 @@ def build_stub_chain(
     the block's, listed once per build as ``(moves, stay)``.  A target
     other than the state differs from it in both arcs of one pair (``m - 1``
     arcs fix the last), so a row merges its blocks' ``moves`` and sums
-    their mass on its own diagonal, ``stay`` included; :func:`_check_rows`
-    would see lost mass.  Symmetry is not built in: :func:`check_regular`
-    tests it.
+    their mass on its own diagonal, ``stay`` included; the
+    :class:`ChainGraph` constructor would see lost mass.  Symmetry is not
+    built in: :func:`check_regular` tests it.
     """
     states = enumerate_stub_space(d, spec)
     if len(states) > limit:
@@ -247,7 +201,6 @@ def build_stub_chain(
             diagonal += moves.get(self_idx, 0) + stay
         row[self_idx] = diagonal
         rows.append(row)
-    _check_rows(rows, denominator)
     keys = [repr(s).encode("ascii") for s in states]
     return ChainGraph(spec, d, list(states), keys, rows, denominator)
 
@@ -286,16 +239,16 @@ def build_vertex_chain(
     class_of = {H.arcs: k for k, H in enumerate(states)}
     verdicts: dict[ProjectedState, bool] = {}
     memo: dict[tuple, list] = {}
+    denominator = 2 * factorial(d.n_arcs) * _stub_denominator(d)
     rows = [
         _thinned_row(
-            k, H.arcs, _class_outcomes(H.arcs, memo), class_of, d, spec, verdicts
+            k, H.arcs, _class_outcomes(H.arcs, memo), class_of, d, spec,
+            verdicts, denominator,
         )
         for k, H in enumerate(states)
     ]
-    numerators, denominator = _common_denominator(rows)
-    _check_rows(numerators, denominator)
     keys = [canonical_form(H) for H in states]
-    return ChainGraph(spec, d, states, keys, numerators, denominator)
+    return ChainGraph(spec, d, states, keys, rows, denominator)
 
 
 def _as_vertex(spec: SpaceSpec) -> SpaceSpec:
@@ -335,7 +288,8 @@ def _thinned_row(
     d: DegreeSequence,
     spec: SpaceSpec,
     verdicts: dict[ProjectedState, bool],
-) -> tuple[IntRow, int]:
+    denominator: int,
+) -> IntRow:
     """The vertex-labeled row of class ``src`` from one listing of its moves.
 
     ``arcs`` are the state's vertex-level arcs in slot order; ``pairs``
@@ -343,25 +297,35 @@ def _thinned_row(
     :func:`_class_outcomes`.  Alpha thins every proposal, with the refused
     share folded onto the diagonal ahead of the feature check; an allowed
     target is the class whose sorted arcs ``class_of`` maps.
+
+    Every share is an integer over ``denominator``, ``2 m! S`` with ``S``
+    the :func:`_stub_denominator`.  An outcome of ``w`` stub-level splits
+    moves ``w num / (denom den)``, and alpha's ``den`` is ``pair_count *
+    swap_forms * w``, so it moves ``num / (denom pair_count swap_forms)``:
+    ``denom`` divides ``S``, ``pair_count`` (``m_a m_b`` with ``m_a + m_b
+    <= m``, or ``C(m_a, 2)``) divides ``m!`` and ``swap_forms`` is 1 or 2.
+    A remainder means a wrong ``w`` and raises: a floor would move mass
+    between target and diagonal unseen by any row sum.
     """
-    # Mass w * (den - num) stays and w * num moves, over denom * den.
-    terms: defaultdict[int, Counter[int]] = defaultdict(Counter)
+    row: Counter[int] = Counter()
     if len(arcs) < 2:
-        terms[1][src] += 1
+        row[src] = denominator
     target_proj = list(arcs)
     for i, j, denom, outcomes in pairs:
         a, b = arcs[i], arcs[j]
         for (arc_a, arc_b), w in outcomes:
             num, den = _alpha_terms(a, b, arc_a, arc_b, arcs.count)
+            moved, rem = divmod(denominator * w * num, denom * den)
+            if rem:
+                raise AssertionError("thinned share is not an integer over the chain")
             target_proj[i], target_proj[j] = arc_a, arc_b
             target = src
             if _allowed(target_proj, d.n_vertices, spec, verdicts):
                 target = class_of[tuple(sorted(target_proj))]
-            part = terms[denom * den]
-            part[src] += w * (den - num)
-            part[target] += w * num
+            row[src] += denominator // denom * w - moved
+            row[target] += moved
         target_proj[i], target_proj[j] = a, b
-    return _fold(terms)  # in lowest terms, so equal rows compare equal
+    return row
 
 
 def class_components(
@@ -456,15 +420,17 @@ def build_vertex_chain_lumped(
     class_of = {H.arcs: class_index[canonical_form(H)] for H in projections}
     verdicts: dict[ProjectedState, bool] = {}
 
-    lumped_rows: dict[int, tuple[IntRow, int]] = {}
+    lumped_rows: dict[int, IntRow] = {}
     splits: dict[tuple, list[Split]] = {}
+    denominator = 2 * factorial(d.n_arcs) * _stub_denominator(d)
     for state, H_proj in zip(stub_states, projections):
         src = class_of[H_proj.arcs]
         # Alpha reads arcs i and j by position, so it gets the projection in
         # the stub state's arc order, not the sorted class representative.
         projected = [_project(a) for a in state]
         row = _thinned_row(
-            src, projected, _stub_outcomes(state, splits), class_of, d, spec, verdicts
+            src, projected, _stub_outcomes(state, splits), class_of, d, spec,
+            verdicts, denominator,
         )
         if src in lumped_rows and lumped_rows[src] != row:
             raise AssertionError(
@@ -473,10 +439,7 @@ def build_vertex_chain_lumped(
         lumped_rows[src] = row
 
     states = [class_rep[key] for key in class_keys]
-    rows, denominator = _common_denominator(
-        [lumped_rows[k] for k in range(len(class_keys))]
-    )
-    _check_rows(rows, denominator)
+    rows = [lumped_rows[k] for k in range(len(class_keys))]
     return ChainGraph(spec, d, states, list(class_keys), rows, denominator)
 
 
@@ -518,12 +481,13 @@ def check_regular(g: ChainGraph) -> tuple[bool, tuple[int, int] | None]:
 
 
 def check_doubly_stochastic(g: ChainGraph) -> tuple[bool, int | None]:
-    """Rows and columns all sum to exactly 1."""
-    rows = g.numerators
-    for totals in ([sum(row.values()) for row in rows], _column_totals(rows)):
-        for i, total in enumerate(totals):
-            if total != g.denominator:
-                return False, i
+    """Columns all sum to exactly 1 (rows always do); else a witness column."""
+    totals: Counter[int] = Counter()
+    for row in g.numerators:
+        totals.update(row)
+    for j in range(g.n_states):
+        if totals[j] != g.denominator:
+            return False, j
     return True, None
 
 
@@ -647,7 +611,7 @@ def is_exactly_uniform_stationary(g: ChainGraph) -> bool:
     connectivity and aperiodicity this pins the stationary distribution to
     uniform with zero error.
     """
-    return all(total == g.denominator for total in _column_totals(g.numerators))
+    return check_doubly_stochastic(g)[0]
 
 
 def tv_curve(g: ChainGraph, start: int, steps: int) -> list[float]:
@@ -692,13 +656,19 @@ def with_perturbed_entry(
 
     Keeps the row stochastic while breaking symmetry and the column sums.
     """
+    n = g.n_states
+    if i not in range(n) or j not in range(n):
+        raise ValueError(f"entry ({i}, {j}) is not in the chain's {n} states")
     if i == j:
         raise ValueError("perturb an off-diagonal entry")
-    rows = [dict(row) for row in g.rows]
-    if rows[i].get(j, Fraction(0)) < eps:
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    den = lcm(g.denominator, eps.denominator)
+    rows = [{k: p * (den // g.denominator) for k, p in row.items()}
+            for row in g.numerators]
+    shift = int(eps * den)
+    if rows[i].get(j, 0) < shift:
         raise ValueError("entry too small to perturb by eps")
-    rows[i][j] -= eps
-    if rows[i][j] == 0:
-        del rows[i][j]
-    rows[i][i] = rows[i].get(i, Fraction(0)) + eps
-    return ChainGraph(g.spec, g.degree, g.states, g.keys, rows)
+    rows[i][j] -= shift
+    rows[i][i] = rows[i].get(i, 0) + shift
+    return ChainGraph(g.spec, g.degree, g.states, g.keys, rows, den)

@@ -259,6 +259,10 @@ def cmd_chain_verify(args) -> int:
         if export_chain is not None:
             export_chain.write(chain_edge_list(g))
         if export_tv is not None:
+            if not g.n_states:
+                raise ValueError(
+                    f"space {spec} has no states, so no TV curve to export"
+                )
             curve = tv_curve(g, 0, 64 if args.steps is None else args.steps)
             export_tv.write(tv_curve_csv(curve))
     verdict = symmetric and aperiodic and connected and uniform

@@ -10,15 +10,18 @@ common denominator.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import hypershuffle
 from hypershuffle import (
     DegreeSequence,
     DirectedHypergraph,
@@ -65,6 +68,20 @@ D1_BLOCKED = hypergraph(4, [((0, 0), (3,)), ((1, 1), (3,)), ((2, 2), (3,))])
 D1_SPREAD = hypergraph(4, [((0, 1), (3,)), ((0, 2), (3,)), ((1, 2), (3,))])
 
 TWO_ARC_DISTINCT = hypergraph(4, [((0,), (2,)), ((1,), (3,))])
+
+
+def src_env() -> dict[str, str]:
+    """This environment with the imported package's tree first on PYTHONPATH.
+
+    Tests that start a fresh interpreter pass it, so that the child imports
+    the same ``hypershuffle`` in a checkout that is not installed.
+    """
+    env = dict(os.environ)
+    src = str(Path(hypershuffle.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return env
 
 
 def recount_degrees(H: DirectedHypergraph):

@@ -54,7 +54,7 @@ from hypershuffle.reproduce import (
 )
 from hypershuffle.shuffle import ShuffleProposal, reverse_proposal
 from hypershuffle.validation import counterexample_suite
-from conftest import random_instance
+from conftest import random_instance, src_env
 
 SDM = SpaceSpec.from_string("sdm")
 
@@ -172,6 +172,7 @@ def test_criterion_5_counterexamples_and_exit_code():
         [sys.executable, "-m", "hypershuffle.cli", "reproduce", "thm3"],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     ok = (
         suite.blocked_class_isolated

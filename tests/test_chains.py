@@ -89,7 +89,7 @@ class TestStubChainConstruction:
         for d in BATTERY:
             for features in ("", "sm", "sdm"):
                 g = build_stub_chain(d, SpaceSpec.from_string(features))
-                assert all(total == 1 for total in g.row_sums())
+                assert all(sum(row.values()) == g.denominator for row in g.numerators)
 
     def test_state_space_guard(self):
         with pytest.raises(StateSpaceLimitError):
@@ -117,11 +117,41 @@ class TestChainProperties:
         assert not symmetric
         assert witness is not None
 
+    @pytest.mark.parametrize("eps", [Fraction(-1), Fraction(0)])
+    def test_perturbation_must_be_positive(self, eps):
+        g = build_stub_chain(FIG_DEGREES, SDM)
+        j = next(j for j in g.numerators[0] if j != 0)
+        with pytest.raises(ValueError, match=f"eps must be positive, got {eps}"):
+            with_perturbed_entry(g, 0, j, eps)
+
+    @pytest.mark.parametrize("i, j", [(2, 0), (0, 2), (-1, 1), (1, -1)])
+    def test_perturbation_outside_the_chain(self, i, j):
+        g = build_stub_chain(TWO_ARC_D, SDM)
+        with pytest.raises(ValueError, match=r"is not in the chain's 2 states"):
+            with_perturbed_entry(g, i, j, Fraction(1, 8))
+
+    def test_perturbation_larger_than_the_entry(self):
+        g = build_stub_chain(TWO_ARC_D, SDM)
+        with pytest.raises(ValueError, match="entry too small to perturb by eps"):
+            with_perturbed_entry(g, 0, 1, Fraction(3, 4))
+        bad = with_perturbed_entry(g, 0, 1, Fraction(1, 2))
+        assert bad.numerators == [{0: 2}, {0: 1, 1: 1}] and bad.denominator == 2
+
     def test_vertex_chain_doubly_stochastic(self):
         for d in BATTERY:
             g = build_vertex_chain(d, SpaceSpec.from_string("sdm", "vertex"))
             ok, witness = check_doubly_stochastic(g)
             assert ok, witness
+
+    def test_perturbed_vertex_chain_fails_with_a_column_witness(self):
+        g = build_vertex_chain(FIG_DEGREES, SpaceSpec.from_string("sdm", "vertex"))
+        i, j = next((i, j) for i, row in enumerate(g.rows) for j in row if i != j)
+        bad = with_perturbed_entry(g, i, j, g.rows[i][j] / 2)
+        # Column j lost mass and column i gained it; the scan meets the
+        # smaller index first.  Every row still sums to 1.
+        assert check_doubly_stochastic(bad) == (False, min(i, j))
+        assert not is_exactly_uniform_stationary(bad)
+        assert all(sum(row.values()) == bad.denominator for row in bad.numerators)
 
     def test_aperiodic_everywhere(self):
         for d in BATTERY:
@@ -130,10 +160,9 @@ class TestChainProperties:
 
     def test_zero_diagonal_detected(self):
         g = build_stub_chain(TWO_ARC_D, SDM)
-        rows = [dict(r) for r in g.rows]
-        rows[0][1] = rows[0][0] + rows[0][1]
-        del rows[0][0]
-        bad = ChainGraph(g.spec, g.degree, g.states, g.keys, rows)
+        rows = [dict(r) for r in g.numerators]
+        rows[0][1] += rows[0].pop(0)
+        bad = ChainGraph(g.spec, g.degree, g.states, g.keys, rows, g.denominator)
         assert not check_aperiodic(bad)
 
     def test_single_state_space(self):
@@ -544,13 +573,24 @@ class TestIntegerRowsMatchFractionOracle:
                 for build, oracle in VERTEX_ROUTES:
                     assert_matches_oracle(build, oracle, d, vertex)
 
-    def test_fraction_rows_give_the_same_integers(self):
+    def test_scaled_rows_give_the_same_integers(self):
         vertex = SpaceSpec.from_string("sdm", "vertex")
         stub_chain = build_stub_chain(FIG_DEGREES, SDM)
         for g in (stub_chain, build_vertex_chain(FIG_DEGREES, vertex)):
-            again = ChainGraph(g.spec, g.degree, g.states, g.keys, g.rows)
-            assert again.numerators == g.numerators
-            assert again.denominator == g.denominator
+            for k in (2, 6, 35):
+                rows = [{j: k * p for j, p in row.items()} for row in g.numerators]
+                again = ChainGraph(
+                    g.spec, g.degree, g.states, g.keys, rows, k * g.denominator
+                )
+                assert again.numerators == g.numerators
+                assert again.denominator == g.denominator
+
+    def test_row_off_its_denominator_raises(self):
+        g = build_stub_chain(TWO_ARC_D, SDM)
+        rows = [dict(r) for r in g.numerators]
+        rows[1][0] += 1
+        with pytest.raises(AssertionError, match="row 1 sums to 3/2, not 1"):
+            ChainGraph(g.spec, g.degree, g.states, g.keys, rows, g.denominator)
 
     def test_empty_space_has_denominator_one(self):
         # The one arc these degrees allow is degenerate.
@@ -596,7 +636,7 @@ class TestResultsTable:
                 g = build_stub_chain(d, SpaceSpec.from_string(features))
                 symmetric, witness = check_regular(g)
                 assert symmetric, (d, features, witness)
-                assert all(total == 1 for total in g.row_sums())
+                assert all(sum(row.values()) == g.denominator for row in g.numerators)
 
     def test_no_rows_have_witnesses(self):
         from hypershuffle.validation import D1_DEGREES as d1

@@ -24,7 +24,7 @@ from hypershuffle import (
 from hypershuffle import cli
 from hypershuffle.cli import main
 from hypershuffle.replicas import _outcome_count, _split_counts
-from conftest import D1_BLOCKED, random_instance
+from conftest import D1_BLOCKED, random_instance, src_env
 
 FIG_INSTANCE = """\
 vertices a b c
@@ -218,6 +218,7 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "hypershuffle.cli", "reproduce", "fig-fixed-degrees"],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") == 4
@@ -326,8 +327,13 @@ def test_chain_verify_tv_export_on_an_empty_space(tmp_path, capsys, labeling):
                    "--labeling", labeling, "--export-tv", str(tmp_path / "tv.csv"))
     assert code == 1
     captured = capsys.readouterr()
-    assert "states 0\n" in captured.out
-    assert captured.err == "error: start state 0 is not one of the chain's 0 states\n"
+    assert captured.out == (
+        "states 0\nregular true\naperiodic true\n"
+        "strongly-connected false (0 components)\nuniform-stationary true\n"
+    )
+    assert captured.err == (
+        f"error: space {labeling}[] has no states, so no TV curve to export\n"
+    )
 
 
 @pytest.mark.parametrize("flag", ["--steps", "--limit"])

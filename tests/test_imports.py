@@ -5,23 +5,18 @@ has numpy and scipy loaded.  The chi-square tests pin ``uniformity_test``
 to ``scipy.stats.chisquare``, bit for bit.
 """
 
-import os
 import random
 import subprocess
 import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from scipy.stats import chisquare
 
-import hypershuffle
 from hypershuffle import serialize_dhg, uniformity_test
 from hypershuffle.cli import _use_replicas
 from hypershuffle.validation import MIN_EXPECTED
-from conftest import D1_BLOCKED, WORKED_EXAMPLE
-
-SRC = Path(hypershuffle.__file__).resolve().parent.parent
+from conftest import D1_BLOCKED, WORKED_EXAMPLE, src_env
 
 HEAVY = """
 import sys
@@ -31,12 +26,8 @@ assert not heavy, heavy
 
 
 def run_python(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env
+        [sys.executable, *args], capture_output=True, text=True, env=src_env()
     )
 
 
