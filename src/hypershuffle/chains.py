@@ -42,7 +42,6 @@ from .enumeration import (
     _vertices,
     enumerate_stub_space,
     enumerate_vertex_space,
-    stub_state_to_hypergraph,
 )
 from .hypergraph import (
     DegreeSequence,
@@ -50,6 +49,7 @@ from .hypergraph import (
     Hyperarc,
     Multiset,
     SpaceSpec,
+    _canonical_bytes,
     canonical_form,
     multiset,
 )
@@ -163,7 +163,6 @@ def build_stub_chain(
     splits: dict[tuple, list[Split]] = {}
     denominator = _stub_denominator(d)
     npairs = comb(d.n_arcs, 2)
-    n = d.n_vertices
 
     def block(a: StubArc, b: StubArc, others: StubState) -> tuple[IntRow, int]:
         # Each repartition adds one share to its target; a rejection stays.
@@ -176,7 +175,7 @@ def build_stub_chain(
         stay = 0
         for (ti, tj, ti_v, tj_v), (hi, hj, hi_v, hj_v) in product(tails, heads):
             target_proj[-2:] = (ti_v, hi_v), (tj_v, hj_v)
-            if not _allowed(target_proj, n, spec, verdicts):
+            if not _allowed(target_proj, spec, verdicts):
                 stay += share
                 continue
             arcs[-2:] = (ti, hi), (tj, hj)
@@ -242,8 +241,8 @@ def build_vertex_chain(
     denominator = 2 * factorial(d.n_arcs) * _stub_denominator(d)
     rows = [
         _thinned_row(
-            k, H.arcs, _class_outcomes(H.arcs, memo), class_of, d, spec,
-            verdicts, denominator,
+            k, H.arcs, _class_outcomes(H.arcs, memo), class_of, spec, verdicts,
+            denominator,
         )
         for k, H in enumerate(states)
     ]
@@ -285,7 +284,6 @@ def _thinned_row(
     arcs: Sequence[Hyperarc],
     pairs,
     class_of: dict[ProjectedState, int],
-    d: DegreeSequence,
     spec: SpaceSpec,
     verdicts: dict[ProjectedState, bool],
     denominator: int,
@@ -320,7 +318,7 @@ def _thinned_row(
                 raise AssertionError("thinned share is not an integer over the chain")
             target_proj[i], target_proj[j] = arc_a, arc_b
             target = src
-            if _allowed(target_proj, d.n_vertices, spec, verdicts):
+            if _allowed(target_proj, spec, verdicts):
                 target = class_of[tuple(sorted(target_proj))]
             row[src] += denominator // denom * w - moved
             row[target] += moved
@@ -366,7 +364,7 @@ def class_components(
         for i, j, _, outcomes in _class_outcomes(H.arcs, memo):
             for (arc_a, arc_b), _ in outcomes:
                 target_proj[i], target_proj[j] = arc_a, arc_b
-                if _allowed(target_proj, d.n_vertices, spec, verdicts):
+                if _allowed(target_proj, spec, verdicts):
                     parent[root(class_of[tuple(sorted(target_proj))])] = root(src)
             target_proj[i], target_proj[j] = H.arcs[i], H.arcs[j]
     components: defaultdict[int, list[int]] = defaultdict(list)
@@ -413,23 +411,22 @@ def build_vertex_chain_lumped(
     if len(stub_states) > limit:
         raise StateSpaceLimitError(f"{len(stub_states)} states exceed the cap {limit}")
 
-    projections = [stub_state_to_hypergraph(s, d.n_vertices) for s in stub_states]
-    class_keys = sorted({canonical_form(H) for H in projections})
-    class_index = {key: k for k, key in enumerate(class_keys)}
-    class_rep = {canonical_form(H): H for H in projections}
-    class_of = {H.arcs: class_index[canonical_form(H)] for H in projections}
+    n = d.n_vertices
+    projections = [tuple(sorted(map(_project, s))) for s in stub_states]
+    classes = sorted(set(projections), key=lambda arcs: _canonical_bytes(n, arcs))
+    class_of = {arcs: k for k, arcs in enumerate(classes)}
     verdicts: dict[ProjectedState, bool] = {}
 
     lumped_rows: dict[int, IntRow] = {}
     splits: dict[tuple, list[Split]] = {}
     denominator = 2 * factorial(d.n_arcs) * _stub_denominator(d)
-    for state, H_proj in zip(stub_states, projections):
-        src = class_of[H_proj.arcs]
+    for state, arcs in zip(stub_states, projections):
+        src = class_of[arcs]
         # Alpha reads arcs i and j by position, so it gets the projection in
-        # the stub state's arc order, not the sorted class representative.
+        # the stub state's arc order, not the class's sorted arcs.
         projected = [_project(a) for a in state]
         row = _thinned_row(
-            src, projected, _stub_outcomes(state, splits), class_of, d, spec,
+            src, projected, _stub_outcomes(state, splits), class_of, spec,
             verdicts, denominator,
         )
         if src in lumped_rows and lumped_rows[src] != row:
@@ -438,9 +435,10 @@ def build_vertex_chain_lumped(
             )
         lumped_rows[src] = row
 
-    states = [class_rep[key] for key in class_keys]
-    rows = [lumped_rows[k] for k in range(len(class_keys))]
-    return ChainGraph(spec, d, states, list(class_keys), rows, denominator)
+    states = [DirectedHypergraph(n, arcs) for arcs in classes]
+    keys = [_canonical_bytes(n, arcs) for arcs in classes]
+    rows = [lumped_rows[k] for k in range(len(classes))]
+    return ChainGraph(spec, d, states, keys, rows, denominator)
 
 
 def _stub_outcomes(state: StubState, splits: dict[tuple, list[Split]]):

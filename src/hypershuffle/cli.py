@@ -221,7 +221,8 @@ def cmd_enumerate(args) -> int:
             lines.append(
                 f"# {count_stub_realizations(H_k)} stub realization(s)"
             )
-            lines.append(serialize_dhg(H_k).rstrip("\n"))
+            # The classes are unlabeled; print them with the input's names.
+            lines.append(serialize_dhg(H.replace_arcs(H_k.arcs)).rstrip("\n"))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

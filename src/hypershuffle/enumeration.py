@@ -135,19 +135,20 @@ def _project(a: StubArc) -> Hyperarc:
 
 def _allowed(
     projection: list[Hyperarc],
-    n_vertices: int,
     spec: SpaceSpec,
     verdicts: dict[ProjectedState, bool],
 ) -> bool:
-    """Feature verdict of a state's vertex projection, memoised in ``verdicts``.
+    """:func:`_feature_ok` of a state's vertex projection, memoised in ``verdicts``.
 
     Features of a stub-labeled state are judged on vertex labels only, so
-    every state with one sorted projection shares one verdict.
+    every state with one sorted projection shares one verdict.  The
+    projection's arcs are taken as they are: stub states project onto
+    sorted tails and heads of vertices in range.
     """
     key = tuple(sorted(projection))
     verdict = verdicts.get(key)
     if verdict is None:
-        verdict = verdicts[key] = _feature_ok(DirectedHypergraph(n_vertices, key), spec)
+        verdict = verdicts[key] = _feature_ok(key, spec)
     return verdict
 
 
@@ -175,7 +176,7 @@ def enumerate_stub_space(
     return sorted(
         state
         for state, projection in _stub_states(d)
-        if _allowed(projection, d.n_vertices, spec, verdicts)
+        if _allowed(projection, spec, verdicts)
     )
 
 

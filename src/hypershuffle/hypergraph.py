@@ -283,12 +283,19 @@ def in_space(H: DirectedHypergraph, spec: SpaceSpec, d: DegreeSequence) -> bool:
     True iff the degree sequence matches (arc degrees as multisets) and no
     feature forbidden by ``spec`` is present.
     """
-    return degree_sequence(H).compatible_with(d) and _feature_ok(H, spec)
+    return degree_sequence(H).compatible_with(d) and _feature_ok(H.arcs, spec)
 
 
-def _feature_ok(H: DirectedHypergraph, spec: SpaceSpec) -> bool:
-    """No feature forbidden by ``spec``: the feature half of :func:`in_space`."""
-    return not classify_features(H, spec.overlap_self_loops).forbidden_by(spec)
+def _feature_ok(arcs: Sequence[Hyperarc], spec: SpaceSpec) -> bool:
+    """No feature forbidden by ``spec``: the feature half of :func:`in_space`.
+
+    Every arc passes :func:`_arc_ok`, and unless ``spec`` allows multi-arcs
+    no arc repeats.  :func:`classify_features` reaches the same verdict
+    independently, through :meth:`FeatureReport.forbidden_by`.
+    """
+    return all(_arc_ok(a, spec) for a in arcs) and (
+        spec.allow_multi or len(set(arcs)) == len(arcs)
+    )
 
 
 def canonical_form(H: DirectedHypergraph) -> bytes:

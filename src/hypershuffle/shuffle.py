@@ -47,8 +47,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -83,24 +81,8 @@ class ShuffleProposal(NamedTuple):
     new_head_j: Multiset
 
 
-# Splits of range(n) into a size-k part and its complement, enumerated once
-# for the small pools a shuffle sees; larger pools are unranked per draw.
-_COMBO_LIMIT = 4096
-
 # random.Random.random() returns k / 2**53 for an integer k.
 _RANDOM_BITS = 53
-
-
-@lru_cache(maxsize=None)
-def _split_table(n: int, k: int):
-    """All ``(part, complement)`` index pairs, or None past ``_COMBO_LIMIT``."""
-    if comb(n, k) > _COMBO_LIMIT:
-        return None
-    table = []
-    for picked in combinations(range(n), k):
-        chosen = set(picked)
-        table.append((picked, tuple(t for t in range(n) if t not in chosen)))
-    return tuple(table)
 
 
 def _draw_split(pool: list[int], k: int, rng: random.Random):
@@ -111,22 +93,14 @@ def _draw_split(pool: list[int], k: int, rng: random.Random):
 def _split_at(pool: list[int], k: int, index: int):
     """Split ``index`` of ``pool`` in ``itertools.combinations`` order.
 
-    The pool is sorted, and a subset of a sorted sequence taken in index
-    order is sorted too, so both parts come back as valid multisets.
+    Unranks the index directly: of the splits still left, the first
+    ``C(n - x - 1, left - 1)`` pick token ``x`` next.  The pool is sorted,
+    and a subset of a sorted sequence taken in index order is sorted too,
+    so both parts come back as valid multisets.
     """
-    table = _split_table(len(pool), k)
-    if table is None:
-        return _unrank_split(pool, k, index)
-    picked, rest = table[index]
-    return tuple([pool[t] for t in picked]), tuple([pool[t] for t in rest])
-
-
-def _unrank_split(pool: list[int], k: int, index: int):
-    """Split ``index`` in ``itertools.combinations`` order, the table's order."""
     picked, rest = [], []
     for x, v in enumerate(pool):
         left = k - len(picked)
-        # comb(n - x - 1, left - 1) of the remaining splits pick x next.
         skip = comb(len(pool) - x - 1, left - 1) if left else 0
         if index < skip:
             picked.append(v)

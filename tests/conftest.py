@@ -273,7 +273,7 @@ def fraction_stub_chain(d: DegreeSequence, spec: SpaceSpec):
                 tail_splits, head_splits
             ):
                 target_proj[i], target_proj[j] = (ti_v, hi_v), (tj_v, hj_v)
-                if not _allowed(target_proj, d.n_vertices, spec, verdicts):
+                if not _allowed(target_proj, spec, verdicts):
                     hits[self_idx] += 1
                     continue
                 arcs[i], arcs[j] = (ti, hi), (tj, hj)
@@ -320,7 +320,7 @@ def fraction_vertex_chain(d: DegreeSequence, spec: SpaceSpec):
                     new_arcs[j] = (tb, hb)
                     target = canonicalize(H.replace_arcs(new_arcs))
                     row[self_idx] += mass * (1 - alpha)
-                    if _feature_ok(target, spec):
+                    if _feature_ok(target.arcs, spec):
                         row[index[canonical_form(target)]] += mass * alpha
                     else:
                         row[self_idx] += mass * alpha
@@ -359,7 +359,7 @@ def fraction_lumped_chain(d: DegreeSequence, spec: SpaceSpec):
                 alpha = acceptance_probability(H_at, prop)
                 row[src] += mass * (1 - alpha)
                 target_proj[i], target_proj[j] = new_a, new_b
-                if _allowed(target_proj, n, spec, verdicts):
+                if _allowed(target_proj, spec, verdicts):
                     row[class_of[tuple(sorted(target_proj))]] += mass * alpha
                 else:
                     row[src] += mass * alpha

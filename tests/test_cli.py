@@ -65,6 +65,21 @@ def test_enumerate_all_figure_spaces(fig_file, capsys):
         assert capsys.readouterr().out.strip() == str(want)
 
 
+def test_enumerate_verbose_lists_the_space_with_the_input_names(fig_file, capsys):
+    code = run_cli("enumerate", "--input", fig_file, "--space", "sm", "--verbose")
+    assert code == 0
+    count, listing = capsys.readouterr().out.split("\n", 1)
+    docs = split_dhg_stream(listing)
+    assert len(docs) == int(count) == 8
+    H0 = parse_dhg(FIG_INSTANCE)
+    d, spec = degree_sequence(H0), SpaceSpec.from_string("sm")
+    listed = [parse_dhg(doc) for doc in docs]
+    for H in listed:
+        assert H.labels == H0.labels == ("a", "b", "c")
+        assert in_space(H, spec, d)
+    assert len({H.arcs for H in listed}) == len(listed)
+
+
 def test_sample_zero_steps_emits_input(fig_file, capsys):
     code = run_cli(
         "sample", "--input", fig_file, "--space", "sdm",

@@ -16,6 +16,7 @@ from hypershuffle import (
     hypergraph,
     in_space,
 )
+from hypershuffle.hypergraph import ALL_FEATURE_SETS
 from conftest import FIG_DEGREES, WORKED_EXAMPLE, random_instance, recount_degrees
 
 
@@ -106,11 +107,18 @@ class TestInSpace:
         rng = random.Random(7)
         for _ in range(150):
             H = random_instance(rng)
-            d = degree_sequence(H)
-            report = classify_features(H)
-            for features in ("", "s", "d", "m", "sd", "sm", "dm", "sdm"):
-                spec = SpaceSpec.from_string(features)
-                assert in_space(H, spec, d) == (not report.forbidden_by(spec))
+            # Each instance as drawn, and with its first arc doubled: a multi-arc.
+            for G in (H, H.replace_arcs(H.arcs + H.arcs[:1])):
+                d = degree_sequence(G)
+                for overlap in (False, True):
+                    report = classify_features(G, overlap)
+                    for features in ALL_FEATURE_SETS:
+                        spec = SpaceSpec.from_string(
+                            features, overlap_self_loops=overlap
+                        )
+                        assert in_space(G, spec, d) == (
+                            not report.forbidden_by(spec)
+                        )
 
     def test_wrong_degree_sequence_rejected(self):
         H = hypergraph(3, [((0,), (1,)), ((1,), (2,))])

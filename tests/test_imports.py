@@ -1,18 +1,23 @@
-"""Import cost: numpy and scipy load only in the functions that use them.
+"""Imports: numpy and scipy load only in the functions that use them.
 
 The subprocess tests run fresh interpreters, since the test process itself
 has numpy and scipy loaded.  The chi-square tests pin ``uniformity_test``
-to ``scipy.stats.chisquare``, bit for bit.
+to ``scipy.stats.chisquare``, bit for bit.  No module imports a name it
+never uses.
 """
 
+import ast
 import random
 import subprocess
 import sys
 from collections import Counter
 
+from pathlib import Path
+
 import pytest
 from scipy.stats import chisquare
 
+import hypershuffle
 from hypershuffle import serialize_dhg, uniformity_test
 from hypershuffle.cli import _use_replicas
 from hypershuffle.validation import MIN_EXPECTED
@@ -29,6 +34,37 @@ def run_python(*args):
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=src_env()
     )
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never references, with their lines."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items()
+            if name not in used]
+
+
+def test_unused_imports_are_found():
+    source = "from math import comb, gcd\nimport os.path\nprint(gcd(2, 4))\n"
+    assert unused_imports(source) == ["comb (line 1)", "os (line 2)"]
+
+
+PACKAGE = Path(hypershuffle.__file__).parent
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+)
+def test_no_unused_imports(module):
+    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
 def test_package_import_loads_neither_numpy_nor_scipy():

@@ -51,14 +51,16 @@ def test_stub_conservation(H):
     assert sum(i for i, _ in d.vertex_degrees) == sum(h for _, h in d.arc_degrees)
 
 
-@given(hypergraphs())
+@given(hypergraphs(), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_membership_matches_feature_report(H):
-    d = degree_sequence(H)
-    report = classify_features(H)
-    for features in FEATURES:
-        spec = SpaceSpec.from_string(features)
-        assert in_space(H, spec, d) == (not report.forbidden_by(spec))
+def test_membership_matches_feature_report(H, overlap):
+    # Each instance as drawn, and with its first arc doubled: a multi-arc.
+    for G in (H, H.replace_arcs(H.arcs + H.arcs[:1])):
+        d = degree_sequence(G)
+        report = classify_features(G, overlap)
+        for features in FEATURES:
+            spec = SpaceSpec.from_string(features, overlap_self_loops=overlap)
+            assert in_space(G, spec, d) == (not report.forbidden_by(spec))
 
 
 @given(hypergraphs(), st.randoms(use_true_random=False))

@@ -24,7 +24,7 @@ from hypershuffle import (
     stub_state_to_hypergraph,
 )
 from hypershuffle.hypergraph import ALL_FEATURE_SETS, _canonical_bytes
-from hypershuffle.shuffle import _unrank_split
+from hypershuffle.shuffle import _split_at
 from conftest import D1_BLOCKED, FIG_DEGREES, random_instance
 
 SDM = SpaceSpec.from_string("sdm")
@@ -208,16 +208,16 @@ class TestSampledUniformity:
 
 class TestLargePoolsAndCompaction:
     def test_unrank_split_matches_combinations_order(self):
-        for n in range(11):
+        # Every split of every pool up to 10 tokens, and all 12,870 of C(16, 8).
+        sizes = [(n, k) for n in range(11) for k in range(n + 1)] + [(16, 8)]
+        for n, k in sizes:
             pool = list(range(n))
-            for k in range(n + 1):
-                for index, picked in enumerate(combinations(pool, k)):
-                    rest = tuple(t for t in pool if t not in picked)
-                    assert _unrank_split(pool, k, index) == (picked, rest)
+            for index, picked in enumerate(combinations(pool, k)):
+                rest = tuple(t for t in pool if t not in picked)
+                assert _split_at(pool, k, index) == (picked, rest)
 
-    def test_pools_past_the_split_table_stay_in_space(self):
-        # Two 8-stub tails pool to C(16, 8) = 12870 splits, past the
-        # 4096-split table, so every tail split is unranked.
+    def test_pools_past_4096_splits_stay_in_space(self):
+        # Two 8-stub tails pool to C(16, 8) = 12,870 splits.
         H = hypergraph(18, [(range(8), (16,)), (range(8, 16), (17,))])
         spec = SpaceSpec.from_string("")
         counts = sample_replicas(H, spec, steps=20, replicas=500, seed=905)

@@ -428,9 +428,8 @@ def test_fixed_seed_trace_pins(name, features, labeling, overlap, steps, seed, d
     assert hashlib.sha256(b"\n".join(trace)).hexdigest() == digest
 
 
-# Two 8-stub tails pool to C(16, 8) = 12,870 splits, past the 4,096-split
-# table, so those splits are unranked; the third arc can turn into a
-# self-loop, which the empty space rejects.
+# Two 8-stub tails pool to C(16, 8) = 12,870 splits; the third arc can turn
+# into a self-loop, which the empty space rejects.
 LARGE_POOLS = hypergraph(18, [(range(8), (16,)), (range(8, 16), (17,)), ((16,), (0,))])
 
 LARGE_POOL_PINS = [
@@ -443,7 +442,7 @@ LARGE_POOL_PINS = [
 
 @pytest.mark.parametrize("labeling,steps,seed,digest", LARGE_POOL_PINS,
                          ids=[p[0] for p in LARGE_POOL_PINS])
-def test_trace_pins_past_the_split_table(labeling, steps, seed, digest):
+def test_trace_pins_on_large_pools(labeling, steps, seed, digest):
     spec = SpaceSpec.from_string("", labeling)
     config = ChainConfig(steps=steps, seed=seed, spec=spec, record_trace=True)
     trace = run_chain(LARGE_POOLS, config).trace
@@ -458,7 +457,7 @@ def test_trace_pins_past_the_split_table(labeling, steps, seed, digest):
 
 @pytest.mark.parametrize("n,k", [(3, 1), (6, 3), (12, 6), (16, 8), (20, 7)])
 def test_draw_split_deals_split_at_of_the_drawn_index(n, k):
-    # C(12, 6) = 924 splits sit in the table; C(16, 8) and C(20, 7) do not.
+    # From C(3, 1) = 3 splits to C(20, 7) = 77,520.
     pool = sorted(random.Random(n).choices(range(5), k=n))
     for seed in range(50):
         index = random.Random(seed).randrange(comb(n, k))
