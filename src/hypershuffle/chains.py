@@ -53,7 +53,7 @@ from .hypergraph import (
     canonical_form,
     multiset,
 )
-from .shuffle import _alpha_terms
+from .shuffle import _alpha_terms, _split_weight
 
 if TYPE_CHECKING:
     import numpy as np
@@ -312,7 +312,10 @@ def _thinned_row(
     for i, j, denom, outcomes in pairs:
         a, b = arcs[i], arcs[j]
         for (arc_a, arc_b), w in outcomes:
-            num, den = _alpha_terms(a, b, arc_a, arc_b, arcs.count)
+            # w recounted independently, so a wrong w leaves a remainder.
+            weight = (_split_weight(arc_a[0], arc_b[0])
+                      * _split_weight(arc_a[1], arc_b[1]))
+            num, den = _alpha_terms(a, b, arc_a, arc_b, weight, arcs.count)
             moved, rem = divmod(denominator * w * num, denom * den)
             if rem:
                 raise AssertionError("thinned share is not an integer over the chain")

@@ -228,9 +228,21 @@ def _has_repeat(ms: Multiset) -> bool:
 
 
 def _arc_ok(a: Hyperarc, spec: SpaceSpec) -> bool:
-    """Whether ``a`` is free of the self-loop and degenerate features ``spec`` forbids."""
-    return (spec.allow_self_loops or not is_self_loop(a, spec.overlap_self_loops)) and (
-        spec.allow_degenerate or not is_degenerate(a)
+    """Whether ``a`` is free of the self-loop and degenerate features ``spec`` forbids.
+
+    The tests of :func:`is_self_loop` and :func:`is_degenerate`, written out
+    flat for the kernel's hot path; those two stay for
+    :func:`classify_features`, the independent reference.
+    """
+    tail, head = a
+    if not spec.allow_self_loops:
+        if spec.overlap_self_loops:
+            if not set(tail).isdisjoint(head):
+                return False
+        elif tail == head:
+            return False
+    return spec.allow_degenerate or (
+        len(set(tail)) == len(tail) and len(set(head)) == len(head)
     )
 
 

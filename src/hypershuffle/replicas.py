@@ -10,9 +10,10 @@ positions ``i < j`` as ``shuffle._draw_proposal`` does, a tail-split index
 in ``[0, C(t_i + t_j, t_i))``, a head-split index likewise and, in vertex
 mode, the thinning uniform.  Each distinct outcome ``(id_i, id_j, tail
 index, head index)`` is evaluated once and cached, by ``shuffle._split_at``
-(the split the scalar kernel deals for the same index),
-``_outcome_admissible`` (self-loop, degenerate, ``arc_a == arc_b``) and
-``_alpha_outcome`` (alpha's outcome part).  What depends on a
+(the split the scalar kernel deals for the same index, with its count of
+stub-level ways), ``_outcome_admissible`` (self-loop, degenerate,
+``arc_a == arc_b``) and ``_alpha_outcome`` (alpha's outcome part, given
+the tail's ways times the head's).  What depends on a
 replica's other arcs, copies of a new arc among the ``m - 2`` that stay and
 alpha's pair multiplicities, is compared per row as in ``_admissible`` and
 ``_alpha_terms``, and ``_alpha_rejects`` thins elementwise.  Finals are
@@ -159,10 +160,11 @@ def _run_replicas(
 
     def evaluate(key) -> tuple:
         a, b = arcs[key[0]], arcs[key[1]]
-        tail_a, tail_b = _split_at(sorted(a[0] + b[0]), len(a[0]), key[2])
-        head_a, head_b = _split_at(sorted(a[1] + b[1]), len(a[1]), key[3])
+        tail_a, tail_b, tail_ways = _split_at(sorted(a[0] + b[0]), len(a[0]), key[2])
+        head_a, head_b, head_ways = _split_at(sorted(a[1] + b[1]), len(a[1]), key[3])
         arc_a, arc_b = (tail_a, head_a), (tail_b, head_b)
-        num, den = _alpha_outcome(a, b, arc_a, arc_b) if thin else (1, 1)
+        weight = tail_ways * head_ways
+        num, den = _alpha_outcome(a, b, arc_a, arc_b, weight) if thin else (1, 1)
         ok = _outcome_admissible(arc_a, arc_b, spec)
         # den is capped to fit int64; a capped den fails the per-row limit.
         cache[key] = (intern(arc_a), intern(arc_b), ok, num, min(den, _ALPHA_DEN_LIMIT))

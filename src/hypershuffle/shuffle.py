@@ -24,15 +24,16 @@ draws and decides a step for both :func:`step` and :func:`run_chain`.
 
 Chain state.  :func:`run_chain` does not build a :class:`DirectedHypergraph`
 per step.  It keeps a private list of arcs, positional like
-``DirectedHypergraph.arcs``, plus a ``Counter`` of arc multiplicities, and
-updates both in place on acceptance.  The multi-arc check and the pair
-multiplicities in alpha are then ``Counter`` lookups, so a step costs
-O(arc size) rather than O(number of arcs).  The list is frozen into a
-hypergraph once, at the end, through the validating constructor.  The
+``DirectedHypergraph.arcs``, plus a plain ``dict`` of the multiplicities
+of the arcs present, and updates both in place on acceptance.  The
+multi-arc check and the pair multiplicities in alpha are then ``dict.get``
+lookups, so a step costs O(arc size) rather than O(number of arcs).  The
+list is frozen into a hypergraph once, at the end, through the validating
+constructor.  The
 single-step functions (:func:`propose`, :func:`apply_shuffle`,
 :func:`acceptance_probability`, :func:`step`) share the same private
 helpers and look multiplicities up with ``tuple.count`` on the frozen arcs,
-which is cheaper than building a ``Counter`` for one call.
+which is cheaper than building a ``dict`` for one call.
 
 Exact alpha.  The acceptance probability is a ratio ``num/den`` of integers
 (:func:`_alpha_terms`).  ``random.Random.random()`` returns ``k / 2**53``
@@ -44,7 +45,6 @@ rounding, and without building a ``Fraction`` per step.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -93,28 +93,48 @@ def _draw_split(pool: list[int], k: int, rng: random.Random):
 def _split_at(pool: list[int], k: int, index: int):
     """Split ``index`` of ``pool`` in ``itertools.combinations`` order.
 
-    Unranks the index directly: of the splits still left, the first
-    ``C(n - x - 1, left - 1)`` pick token ``x`` next.  The pool is sorted,
-    and a subset of a sorted sequence taken in index order is sorted too,
-    so both parts come back as valid multisets.
+    Returns ``(picked, rest, ways)``.  Unranks the index directly: of the
+    splits still left, the first ``C(n - x - 1, left - 1)`` pick token ``x``
+    next.  The pool is sorted, and a subset of a sorted sequence taken in
+    index order is sorted too, so both parts come back as valid multisets.
+    ``ways`` is the number of stub-level splits realizing the vertex-level
+    one, ``C(run, taken)`` multiplied over the runs of equal tokens: the
+    :func:`_split_weight` of the two parts, counted in the same pass.
     """
     picked, rest = [], []
-    for x, v in enumerate(pool):
-        left = k - len(picked)
-        skip = comb(len(pool) - x - 1, left - 1) if left else 0
+    ways = 1
+    left = k
+    last = None
+    run = taken = 0
+    after = len(pool)  # tokens after v, once decremented
+    for v in pool:
+        if v != last:
+            if taken and taken != run:
+                ways *= comb(run, taken)
+            last, run, taken = v, 1, 0
+        else:
+            run += 1
+        after -= 1
+        skip = comb(after, left - 1) if left else 0
         if index < skip:
             picked.append(v)
+            left -= 1
+            taken += 1
         else:
             index -= skip
             rest.append(v)
-    return tuple(picked), tuple(rest)
+    if taken and taken != run:
+        ways *= comb(run, taken)
+    return tuple(picked), tuple(rest), ways
 
 
 def _draw_proposal(arcs, rng: random.Random):
-    """Arc pair, then tail split, then head split: ``(i, j, arc_a, arc_b)``.
+    """Arc pair, then tail split, then head split: ``(i, j, arc_a, arc_b, weight)``.
 
     ``i < j``, and ``arc_a``, ``arc_b`` are the arcs proposed for slots
     ``i`` and ``j``; tail and head sizes stay attached to their slots.
+    ``weight`` is the number of stub-level repartitions of the two pools
+    that realize the dealt arcs, the tail split's ways times the head's.
     """
     m = len(arcs)
     if m < 2:
@@ -126,9 +146,9 @@ def _draw_proposal(arcs, rng: random.Random):
     if i > j:
         i, j = j, i
     (tail_i, head_i), (tail_j, head_j) = arcs[i], arcs[j]
-    tail_a, tail_b = _draw_split(sorted(tail_i + tail_j), len(tail_i), rng)
-    head_a, head_b = _draw_split(sorted(head_i + head_j), len(head_i), rng)
-    return i, j, (tail_a, head_a), (tail_b, head_b)
+    tail_a, tail_b, tail_ways = _draw_split(sorted(tail_i + tail_j), len(tail_i), rng)
+    head_a, head_b, head_ways = _draw_split(sorted(head_i + head_j), len(head_i), rng)
+    return i, j, (tail_a, head_a), (tail_b, head_b), tail_ways * head_ways
 
 
 def propose(H: DirectedHypergraph, rng: random.Random) -> ShuffleProposal:
@@ -137,7 +157,7 @@ def propose(H: DirectedHypergraph, rng: random.Random) -> ShuffleProposal:
     Draw order (fixed for reproducibility): arc pair, tail split, head
     split.  Tail and head sizes stay attached to their original arc slots.
     """
-    i, j, (tail_a, head_a), (tail_b, head_b) = _draw_proposal(H.arcs, rng)
+    i, j, (tail_a, head_a), (tail_b, head_b), _ = _draw_proposal(H.arcs, rng)
     return ShuffleProposal(i, j, tail_a, head_a, tail_b, head_b)
 
 
@@ -168,21 +188,21 @@ def _admissible(
     arc_a: Hyperarc,
     arc_b: Hyperarc,
     spec: SpaceSpec,
-    count: Callable[[Hyperarc], int],
+    count: Callable[[Hyperarc], int | None],
 ) -> bool:
     """Whether replacing arcs ``a, b`` by ``arc_a, arc_b`` stays in the space.
 
     Only the two new arcs can introduce a forbidden feature.  ``count(x)``
     is the multiplicity of ``x`` among all arcs before the move, ``a`` and
-    ``b`` included.
+    ``b`` included, or None for an arc not among them (``dict.get``).
     """
     if not _outcome_admissible(arc_a, arc_b, spec):
         return False
     if spec.allow_multi:
         return True
     # Copies of a new arc left among the m - 2 arcs that stay.
-    return count(arc_a) <= (arc_a == a) + (arc_a == b) and (
-        count(arc_b) <= (arc_b == a) + (arc_b == b)
+    return (count(arc_a) or 0) <= (arc_a == a) + (arc_a == b) and (
+        (count(arc_b) or 0) <= (arc_b == a) + (arc_b == b)
     )
 
 
@@ -229,14 +249,18 @@ def acceptance_probability(H: DirectedHypergraph, p: ShuffleProposal) -> Fractio
     """
     arc_a, arc_b = proposed_arcs(p)
     a, b = H.arcs[p.arc_i], H.arcs[p.arc_j]
-    return Fraction(*_alpha_terms(a, b, arc_a, arc_b, H.arcs.count))
+    weight = _split_weight(arc_a[0], arc_b[0]) * _split_weight(arc_a[1], arc_b[1])
+    return Fraction(*_alpha_terms(a, b, arc_a, arc_b, weight, H.arcs.count))
 
 
 def _alpha_outcome(
-    a: Hyperarc, b: Hyperarc, arc_a: Hyperarc, arc_b: Hyperarc
+    a: Hyperarc, b: Hyperarc, arc_a: Hyperarc, arc_b: Hyperarc, weight: int
 ) -> tuple[int, int]:
-    """Alpha's part fixed by the outcome: ``(coalesce, swap_forms * weight)``."""
-    weight = _split_weight(arc_a[0], arc_b[0]) * _split_weight(arc_a[1], arc_b[1])
+    """Alpha's part fixed by the outcome: ``(coalesce, swap_forms * weight)``.
+
+    ``weight`` is the number of stub-level repartitions realizing the
+    outcome, as :func:`_draw_proposal` returns it.
+    """
     sizes_equal = len(a[0]) == len(b[0]) and len(a[1]) == len(b[1])
     swap_forms = 2 if sizes_equal and arc_a != arc_b else 1
     coalesce = 2 if sizes_equal else 1
@@ -248,10 +272,14 @@ def _alpha_terms(
     b: Hyperarc,
     arc_a: Hyperarc,
     arc_b: Hyperarc,
-    count: Callable[[Hyperarc], int],
+    weight: int,
+    count: Callable[[Hyperarc], int | None],
 ) -> tuple[int, int]:
-    """Alpha as ``(num, den)``; ``count`` as in :func:`_admissible`."""
-    num, den = _alpha_outcome(a, b, arc_a, arc_b)
+    """Alpha as ``(num, den)``; ``weight`` as in :func:`_alpha_outcome`.
+
+    ``count`` is as in :func:`_admissible`; ``a`` and ``b`` are present.
+    """
+    num, den = _alpha_outcome(a, b, arc_a, arc_b, weight)
     pair_count = comb(count(a), 2) if a == b else count(a) * count(b)
     return num, pair_count * den
 
@@ -268,7 +296,11 @@ def _alpha_rejects(u, num, den):
 
 
 def _split_weight(part_a: Multiset, part_b: Multiset) -> int:
-    """Number of stub-level splits of the pooled tokens realizing this split."""
+    """Number of stub-level splits of the pooled tokens realizing this split.
+
+    Counted from the two parts alone; :func:`_split_at` counts the same
+    number while it deals, and this stays its independent reference.
+    """
     w = 1
     for v in set(part_a):
         if v in part_b:
@@ -277,7 +309,12 @@ def _split_weight(part_a: Multiset, part_b: Multiset) -> int:
     return w
 
 
-def _move(arcs, count: Callable[[Hyperarc], int], spec: SpaceSpec, rng: random.Random):
+def _move(
+    arcs,
+    count: Callable[[Hyperarc], int | None],
+    spec: SpaceSpec,
+    rng: random.Random,
+):
     """Draw a proposal on ``arcs`` and decide it: ``(i, j, arc_a, arc_b)`` or None.
 
     ``count`` is as in :func:`_admissible`.  In vertex mode the thinning
@@ -285,15 +322,16 @@ def _move(arcs, count: Callable[[Hyperarc], int], spec: SpaceSpec, rng: random.R
     whether or not the proposal is admissible.  None means the proposal
     broke a feature rule or was thinned out; the state stays put.
     """
-    move = _draw_proposal(arcs, rng)
-    i, j, arc_a, arc_b = move
+    i, j, arc_a, arc_b, weight = _draw_proposal(arcs, rng)
     a, b = arcs[i], arcs[j]
     u = rng.random() if spec.labeling == "vertex" else None
     if not _admissible(a, b, arc_a, arc_b, spec, count):
         return None
-    if u is not None and _alpha_rejects(u, *_alpha_terms(a, b, arc_a, arc_b, count)):
+    if u is not None and _alpha_rejects(
+        u, *_alpha_terms(a, b, arc_a, arc_b, weight, count)
+    ):
         return None
-    return move
+    return i, j, arc_a, arc_b
 
 
 def step(
@@ -345,7 +383,7 @@ def run_chain(H0: DirectedHypergraph, config: ChainConfig) -> ChainResult:
     The start state must lie in the configured space; every intermediate
     state then does too, and the degree sequence never changes.  The walk
     is the one :func:`step` takes from ``random.Random(config.seed)``, run
-    on the private arc list and ``Counter`` described in the module notes.
+    on the private arc list and ``dict`` described in the module notes.
     """
     spec = config.spec
     if not in_space(H0, spec, degree_sequence(H0)):
@@ -353,8 +391,10 @@ def run_chain(H0: DirectedHypergraph, config: ChainConfig) -> ChainResult:
     rng = random.Random(config.seed)
     n = H0.n_vertices
     arcs = list(H0.arcs)
-    counts = Counter(arcs)
-    count = counts.__getitem__  # 0 for arcs not present
+    counts: dict[Hyperarc, int] = {}
+    for a in arcs:
+        counts[a] = counts.get(a, 0) + 1
+    count = counts.get
     trace: list[bytes] | None = [] if config.record_trace else None
     if trace is not None:
         trace.append(_canonical_bytes(n, arcs))
@@ -366,8 +406,8 @@ def run_chain(H0: DirectedHypergraph, config: ChainConfig) -> ChainResult:
             a, b = arcs[i], arcs[j]
             arcs[i] = arc_a
             arcs[j] = arc_b
-            counts[arc_a] += 1
-            counts[arc_b] += 1
+            counts[arc_a] = counts.get(arc_a, 0) + 1
+            counts[arc_b] = counts.get(arc_b, 0) + 1
             for old in (a, b):
                 left = counts[old] - 1
                 if left:

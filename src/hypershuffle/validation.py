@@ -323,20 +323,28 @@ def find_digraph_disconnection(
     arc is a single edge; the search sweeps vertex degree sequences in
     increasing size and returns the first whose walk is disconnected.
     Connectivity is decided on canonical classes (:func:`class_components`);
-    ``n_states`` counts the stub states of the instance found.  Past 8 arcs
-    the instances exceed :func:`enumerate_vertex_space`'s stub guard, which
-    raises ``EnumerationLimitError``.
+    ``n_states`` counts the stub states of the instance found.  Relabeling
+    vertices preserves connectivity, so a sequence whose sorted ``(in,
+    out)`` pairs match one already decided is skipped: the first
+    disconnected sequence in sweep order is the first of its orbit.  Past
+    8 arcs the instances exceed :func:`enumerate_vertex_space`'s stub
+    guard, which raises ``EnumerationLimitError``.
     """
     if "s" in features:
         raise ValueError("the reduction argument concerns no-self-loop spaces")
     spec = SpaceSpec.from_string(features)
+    decided: set[tuple[tuple[int, int], ...]] = set()
     for n in range(2, max_vertices + 1):
         for k in range(2, max_arcs + 1):
             for in_deg in _degree_vectors(n, k):
                 for out_deg in _degree_vectors(n, k):
+                    vertex_degrees = tuple(zip(in_deg, out_deg))
+                    orbit = tuple(sorted(vertex_degrees))
+                    if orbit in decided:
+                        continue
+                    decided.add(orbit)
                     d = DegreeSequence(
-                        vertex_degrees=tuple(zip(in_deg, out_deg)),
-                        arc_degrees=((1, 1),) * k,
+                        vertex_degrees=vertex_degrees, arc_degrees=((1, 1),) * k
                     )
                     classes, components = class_components(d, spec)
                     if len(components) > 1:

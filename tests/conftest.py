@@ -3,9 +3,10 @@
 The oracles here deliberately avoid the library's own computation paths:
 degrees are recounted incidence by incidence, acceptance probabilities
 are checked against a brute-force enumeration of one-shuffle outcomes at
-the stub level, and transition matrices are rebuilt by adding one
+the stub level, transition matrices are rebuilt by adding one
 ``Fraction`` per (arc pair, target) instead of integer shares over one
-common denominator.
+common denominator, and targets are judged by ``classify_features``
+instead of the library's feature verdict.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from hypershuffle import (
     stub_state_to_hypergraph,
 )
 from hypershuffle.chains import _as_vertex, _multiset_splits
-from hypershuffle.enumeration import _allowed, _feature_ok, _parts, _project, _vertices
+from hypershuffle.enumeration import _parts, _project, _vertices
 
 # The worked example with five arcs: a self-loop, a degenerate arc and a
 # multi pair (vertices a..f mapped to 0..5).
@@ -254,6 +255,19 @@ def _fraction_stub_transitions(arcs):
         yield i, j, denom, tail_splits, head_splits
 
 
+def forbidden(n: int, arcs, spec: SpaceSpec, verdicts: dict) -> bool:
+    """Whether ``spec`` forbids the vertex-level ``arcs``, memoised by sorted arcs.
+
+    Judged by ``classify_features``, not by the library's own verdict
+    (``hypergraph._feature_ok``), so the oracles below check that too.
+    """
+    key = tuple(sorted(arcs))
+    if key not in verdicts:
+        report = classify_features(DirectedHypergraph(n, key), spec.overlap_self_loops)
+        verdicts[key] = report.forbidden_by(spec)
+    return verdicts[key]
+
+
 def fraction_stub_chain(d: DegreeSequence, spec: SpaceSpec):
     """``(keys, rows)`` of the stub chain, one ``Fraction`` per (pair, target)."""
     states = enumerate_stub_space(d, spec)
@@ -273,7 +287,7 @@ def fraction_stub_chain(d: DegreeSequence, spec: SpaceSpec):
                 tail_splits, head_splits
             ):
                 target_proj[i], target_proj[j] = (ti_v, hi_v), (tj_v, hj_v)
-                if not _allowed(target_proj, spec, verdicts):
+                if forbidden(d.n_vertices, target_proj, spec, verdicts):
                     hits[self_idx] += 1
                     continue
                 arcs[i], arcs[j] = (ti, hi), (tj, hj)
@@ -320,7 +334,8 @@ def fraction_vertex_chain(d: DegreeSequence, spec: SpaceSpec):
                     new_arcs[j] = (tb, hb)
                     target = canonicalize(H.replace_arcs(new_arcs))
                     row[self_idx] += mass * (1 - alpha)
-                    if _feature_ok(target.arcs, spec):
+                    report = classify_features(target, spec.overlap_self_loops)
+                    if not report.forbidden_by(spec):
                         row[index[canonical_form(target)]] += mass * alpha
                     else:
                         row[self_idx] += mass * alpha
@@ -359,7 +374,7 @@ def fraction_lumped_chain(d: DegreeSequence, spec: SpaceSpec):
                 alpha = acceptance_probability(H_at, prop)
                 row[src] += mass * (1 - alpha)
                 target_proj[i], target_proj[j] = new_a, new_b
-                if _allowed(target_proj, spec, verdicts):
+                if not forbidden(n, target_proj, spec, verdicts):
                     row[class_of[tuple(sorted(target_proj))]] += mass * alpha
                 else:
                     row[src] += mass * alpha

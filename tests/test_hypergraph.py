@@ -1,6 +1,7 @@
 """Core data model: degrees, features, membership, canonical forms."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -16,7 +17,7 @@ from hypershuffle import (
     hypergraph,
     in_space,
 )
-from hypershuffle.hypergraph import ALL_FEATURE_SETS
+from hypershuffle.hypergraph import ALL_FEATURE_SETS, _arc_ok, is_degenerate, is_self_loop
 from conftest import FIG_DEGREES, WORKED_EXAMPLE, random_instance, recount_degrees
 
 
@@ -96,6 +97,19 @@ class TestFeatures:
     def test_degenerate_tail_or_head(self):
         assert classify_features(hypergraph(2, [((0, 0), (1,))])).degenerate == (0,)
         assert classify_features(hypergraph(2, [((1,), (0, 0))])).degenerate == (0,)
+
+    @pytest.mark.parametrize("features", ALL_FEATURE_SETS)
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_arc_ok_is_the_composed_feature_tests(self, features, overlap):
+        # Every arc with sides of 1-3 tokens over 3 vertices.
+        sides = [side for size in (1, 2, 3)
+                 for side in combinations_with_replacement(range(3), size)]
+        spec = SpaceSpec.from_string(features, overlap_self_loops=overlap)
+        for a in ((tail, head) for tail in sides for head in sides):
+            expected = (spec.allow_self_loops or not is_self_loop(a, overlap)) and (
+                spec.allow_degenerate or not is_degenerate(a)
+            )
+            assert _arc_ok(a, spec) == expected
 
 
 class TestInSpace:

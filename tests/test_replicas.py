@@ -209,12 +209,13 @@ class TestSampledUniformity:
 class TestLargePoolsAndCompaction:
     def test_unrank_split_matches_combinations_order(self):
         # Every split of every pool up to 10 tokens, and all 12,870 of C(16, 8).
+        # The tokens are distinct, so each split has one stub-level way.
         sizes = [(n, k) for n in range(11) for k in range(n + 1)] + [(16, 8)]
         for n, k in sizes:
             pool = list(range(n))
             for index, picked in enumerate(combinations(pool, k)):
                 rest = tuple(t for t in pool if t not in picked)
-                assert _split_at(pool, k, index) == (picked, rest)
+                assert _split_at(pool, k, index) == (picked, rest, 1)
 
     def test_pools_past_4096_splits_stay_in_space(self):
         # Two 8-stub tails pool to C(16, 8) = 12,870 splits.

@@ -29,7 +29,7 @@ from hypershuffle import (
     step,
 )
 from hypershuffle.hypergraph import ALL_FEATURE_SETS
-from hypershuffle.shuffle import _draw_split, _split_at, reverse_proposal
+from hypershuffle.shuffle import _draw_split, _split_at, _split_weight, reverse_proposal
 from conftest import (
     D1_BLOCKED,
     TWO_ARC_DISTINCT,
@@ -462,6 +462,23 @@ def test_draw_split_deals_split_at_of_the_drawn_index(n, k):
     for seed in range(50):
         index = random.Random(seed).randrange(comb(n, k))
         assert _draw_split(pool, k, random.Random(seed)) == _split_at(pool, k, index)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_split_at_ways_is_the_split_weight(seed):
+    # Every split of seeded pools of up to 10 tokens on 1-4 vertices, so
+    # that tokens repeat, in runs of 3 or more too.
+    rng = random.Random(7000 + seed)
+    longest_run = 0
+    for _ in range(25):
+        n = rng.randint(1, 10)
+        pool = sorted(rng.choices(range(rng.randint(1, 4)), k=n))
+        longest_run = max(longest_run, max(map(pool.count, pool)))
+        for k in range(n + 1):
+            for index in range(comb(n, k)):
+                picked, rest, ways = _split_at(pool, k, index)
+                assert ways == _split_weight(picked, rest)
+    assert longest_run >= 3
 
 
 @st.composite

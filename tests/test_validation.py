@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from hypershuffle import (
+    DegreeSequence,
     EnumerationLimitError,
     SampleOutsideSpaceError,
     SpaceSpec,
@@ -21,7 +22,12 @@ from hypershuffle import (
 )
 import hypershuffle.chains
 import hypershuffle.validation
-from hypershuffle.validation import find_digraph_disconnection, stub_pushforward_weights
+from hypershuffle.chains import class_components
+from hypershuffle.validation import (
+    _degree_vectors,
+    find_digraph_disconnection,
+    stub_pushforward_weights,
+)
 from conftest import FIG_DEGREES, WORKED_EXAMPLE, random_instance
 
 SDM = SpaceSpec.from_string("sdm")
@@ -154,8 +160,17 @@ THREE_CYCLES = {
 
 class TestDigraphSearch:
     @pytest.mark.parametrize("features", ["", "d", "m", "dm"])
-    def test_pinned_results(self, features):
+    def test_pinned_results(self, monkeypatch, features):
+        # One sequence per orbit of vertex relabelings is decided.
+        decided = []
+
+        def counted(d, spec):
+            decided.append(tuple(sorted(d.vertex_degrees)))
+            return class_components(d, spec)
+
+        monkeypatch.setattr(hypershuffle.validation, "class_components", counted)
         assert find_digraph_disconnection(features) == THREE_CYCLES
+        assert len(decided) == len(set(decided)) == 53
 
     def test_builds_no_chain_and_enumerates_no_stub_state(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -165,6 +180,24 @@ class TestDigraphSearch:
         monkeypatch.setattr(hypershuffle.validation, "check_strongly_connected", refuse)
         monkeypatch.setattr(hypershuffle.chains, "enumerate_stub_space", refuse)
         assert find_digraph_disconnection("") == THREE_CYCLES
+
+    @pytest.mark.parametrize("features", ["", "dm"])
+    def test_relabeled_sequences_have_the_same_components(self, features):
+        # What the search's skip relies on, over every sequence it sweeps
+        # up to three vertices and three arcs.
+        spec = SpaceSpec.from_string(features)
+        components, members = {}, Counter()
+        for n in (2, 3):
+            for k in (2, 3):
+                for in_deg in _degree_vectors(n, k):
+                    for out_deg in _degree_vectors(n, k):
+                        d = DegreeSequence(tuple(zip(in_deg, out_deg)), ((1, 1),) * k)
+                        count = len(class_components(d, spec)[1])
+                        orbit = tuple(sorted(d.vertex_degrees))
+                        assert components.setdefault(orbit, count) == count
+                        members[orbit] += 1
+        assert components[((1, 1),) * 3] == 2
+        assert members[((1, 1),) * 3] == 1 and max(members.values()) == 6
 
     def test_two_vertices_stay_connected_up_to_the_stub_guard(self):
         # Two vertices without self-loops have one class per degree
