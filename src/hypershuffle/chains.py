@@ -15,10 +15,11 @@ integer shares over one denominator that the arc sizes fix before its first
 row: :func:`_stub_denominator` on stub states, and ``2 m!`` times it on
 vertex-labeled rows, which acceptance probabilities ``num/den`` also thin
 (:func:`_thinned_row`).  :class:`ChainGraph` checks the row sums and
-reduces to the least denominator once.  A target's feature verdict depends
-only on its vertex projection and is computed once per chain build.  The
-checks compare integers; :attr:`ChainGraph.rows` gives the entries as
-``Fraction`` dicts.
+reduces to the least denominator once.  The enumerated state list is the
+space: each move looks its target up there once, and only a target outside
+it gets a feature verdict (memoised per vertex projection), which must
+refuse it, or the build raises.  The checks compare integers;
+:attr:`ChainGraph.rows` gives the entries as ``Fraction`` dicts.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 STATE_LIMIT = 5000
+# Power iteration stops at this sup-norm change, or fails after the cap.
+POWER_TOL = 1e-12
+POWER_MAX_ITER = 1_000_000
 
 Row = dict[int, Fraction]
 # Integer numerators of one row, keyed by column; zero entries are not stored.
@@ -170,19 +174,17 @@ def build_stub_chain(
         heads = _memo_splits(a[1], b[1], splits)
         share = denominator // (npairs * len(tails) * len(heads))
         arcs = [*others, a, b]
-        target_proj = [_project(x) for x in arcs]
+        others_v = [_project(x) for x in others]
         moves: IntRow = {}
         stay = 0
         for (ti, tj, ti_v, tj_v), (hi, hj, hi_v, hj_v) in product(tails, heads):
-            target_proj[-2:] = (ti_v, hi_v), (tj_v, hj_v)
-            if not _allowed(target_proj, spec, verdicts):
-                stay += share
-                continue
             arcs[-2:] = (ti, hi), (tj, hj)
             target = index.get(tuple(sorted(arcs)))
             if target is None:
-                raise AssertionError("one-shuffle target missing from enumerated space")
-            moves[target] = moves.get(target, 0) + share
+                _check_outside([*others_v, (ti_v, hi_v), (tj_v, hj_v)], spec, verdicts)
+                stay += share
+            else:
+                moves[target] = moves.get(target, 0) + share
         return moves, stay
 
     blocks: dict[StubState, tuple[IntRow, int]] = {}
@@ -239,13 +241,11 @@ def build_vertex_chain(
     verdicts: dict[ProjectedState, bool] = {}
     memo: dict[tuple, list] = {}
     denominator = 2 * factorial(d.n_arcs) * _stub_denominator(d)
-    rows = [
-        _thinned_row(
-            k, H.arcs, _class_outcomes(H.arcs, memo), class_of, spec, verdicts,
-            denominator,
-        )
-        for k, H in enumerate(states)
-    ]
+    rows = []
+    for k, H in enumerate(states):
+        pairs = _class_outcomes(H.arcs, memo)
+        moves = _class_moves(H.arcs, pairs, class_of, spec, verdicts)
+        rows.append(_thinned_row(k, H.arcs, moves, denominator))
     keys = [canonical_form(H) for H in states]
     return ChainGraph(spec, d, states, keys, rows, denominator)
 
@@ -279,22 +279,49 @@ def _class_outcomes(arcs: Sequence[Hyperarc], memo: dict[tuple, list]):
         yield i, j, denom, outcomes
 
 
-def _thinned_row(
-    src: int,
+def _class_moves(
     arcs: Sequence[Hyperarc],
     pairs,
     class_of: dict[ProjectedState, int],
     spec: SpaceSpec,
     verdicts: dict[ProjectedState, bool],
-    denominator: int,
-) -> IntRow:
-    """The vertex-labeled row of class ``src`` from one listing of its moves.
+):
+    """Yield ``(i, j, denom, arc_a, arc_b, w, target)`` per move of a class.
 
     ``arcs`` are the state's vertex-level arcs in slot order; ``pairs``
-    yields ``(i, j, denom, outcomes)`` with ``outcomes`` as in
-    :func:`_class_outcomes`.  Alpha thins every proposal, with the refused
-    share folded onto the diagonal ahead of the feature check; an allowed
-    target is the class whose sorted arcs ``class_of`` maps.
+    yields ``(i, j, denom, outcomes)`` as :func:`_class_outcomes` does.
+    ``target`` is the index that ``class_of`` gives the sorted target arcs,
+    or None for a target outside the space: ``class_of`` holds every
+    allowed class, so the feature verdict is taken only on a miss, where
+    an allowed target raises.
+    """
+    target_proj = list(arcs)
+    for i, j, denom, outcomes in pairs:
+        for (arc_a, arc_b), w in outcomes:
+            target_proj[i], target_proj[j] = arc_a, arc_b
+            target = class_of.get(tuple(sorted(target_proj)))
+            if target is None:
+                _check_outside(target_proj, spec, verdicts)
+            yield i, j, denom, arc_a, arc_b, w, target
+        target_proj[i], target_proj[j] = arcs[i], arcs[j]
+
+
+def _check_outside(
+    projection: list[Hyperarc], spec: SpaceSpec, verdicts: dict[ProjectedState, bool]
+) -> None:
+    """Raise if the space allows a target that its state list lacks."""
+    if _allowed(projection, spec, verdicts):
+        raise AssertionError("one-shuffle target missing from enumerated space")
+
+
+def _thinned_row(src: int, arcs: Sequence[Hyperarc], moves, denominator: int) -> IntRow:
+    """The vertex-labeled row of class ``src`` from one listing of its moves.
+
+    ``arcs`` are the state's vertex-level arcs in slot order; ``moves``
+    yields ``(i, j, denom, arc_a, arc_b, w, target)`` as
+    :func:`_class_moves` does.  Alpha thins every proposal; the refused
+    share stays on the diagonal, and so does the accepted share of a move
+    whose target is None, outside the space.
 
     Every share is an integer over ``denominator``, ``2 m! S`` with ``S``
     the :func:`_stub_denominator`.  An outcome of ``w`` stub-level splits
@@ -308,24 +335,17 @@ def _thinned_row(
     row: Counter[int] = Counter()
     if len(arcs) < 2:
         row[src] = denominator
-    target_proj = list(arcs)
-    for i, j, denom, outcomes in pairs:
+    for i, j, denom, arc_a, arc_b, w, target in moves:
         a, b = arcs[i], arcs[j]
-        for (arc_a, arc_b), w in outcomes:
-            # w recounted independently, so a wrong w leaves a remainder.
-            weight = (_split_weight(arc_a[0], arc_b[0])
-                      * _split_weight(arc_a[1], arc_b[1]))
-            num, den = _alpha_terms(a, b, arc_a, arc_b, weight, arcs.count)
-            moved, rem = divmod(denominator * w * num, denom * den)
-            if rem:
-                raise AssertionError("thinned share is not an integer over the chain")
-            target_proj[i], target_proj[j] = arc_a, arc_b
-            target = src
-            if _allowed(target_proj, spec, verdicts):
-                target = class_of[tuple(sorted(target_proj))]
-            row[src] += denominator // denom * w - moved
-            row[target] += moved
-        target_proj[i], target_proj[j] = a, b
+        # w recounted independently, so a wrong w leaves a remainder.
+        weight = (_split_weight(arc_a[0], arc_b[0])
+                  * _split_weight(arc_a[1], arc_b[1]))
+        num, den = _alpha_terms(a, b, arc_a, arc_b, weight, arcs.count)
+        moved, rem = divmod(denominator * w * num, denom * den)
+        if rem:
+            raise AssertionError("thinned share is not an integer over the chain")
+        row[src] += denominator // denom * w - moved
+        row[src if target is None else target] += moved
     return row
 
 
@@ -335,9 +355,10 @@ def class_components(
     """The classes of a space and the components of the walk on them.
 
     Connectivity needs only the support of the chain, so no entry is
-    computed: each class's moves are listed once by :func:`_class_outcomes`
-    and every allowed target is joined to its source.  These components are
-    those of the stub-labeled walk, read through the projection to classes:
+    computed: each class's moves are listed once by :func:`_class_moves`
+    and every target in the space is joined to its source.  These
+    components are those of the stub-labeled walk, read through the
+    projection to classes:
 
     - a shuffle of two arcs that only trades two stubs of one vertex between
       them leaves the projection, and so the feature verdict, unchanged;
@@ -363,13 +384,10 @@ def class_components(
     verdicts: dict[ProjectedState, bool] = {}
     memo: dict[tuple, list] = {}
     for src, H in enumerate(classes):
-        target_proj = list(H.arcs)
-        for i, j, _, outcomes in _class_outcomes(H.arcs, memo):
-            for (arc_a, arc_b), _ in outcomes:
-                target_proj[i], target_proj[j] = arc_a, arc_b
-                if _allowed(target_proj, spec, verdicts):
-                    parent[root(class_of[tuple(sorted(target_proj))])] = root(src)
-            target_proj[i], target_proj[j] = H.arcs[i], H.arcs[j]
+        pairs = _class_outcomes(H.arcs, memo)
+        for *_, target in _class_moves(H.arcs, pairs, class_of, spec, verdicts):
+            if target is not None:
+                parent[root(target)] = root(src)
     components: defaultdict[int, list[int]] = defaultdict(list)
     for k in range(len(classes)):
         components[root(k)].append(k)
@@ -428,10 +446,10 @@ def build_vertex_chain_lumped(
         # Alpha reads arcs i and j by position, so it gets the projection in
         # the stub state's arc order, not the class's sorted arcs.
         projected = [_project(a) for a in state]
-        row = _thinned_row(
-            src, projected, _stub_outcomes(state, splits), class_of, spec,
-            verdicts, denominator,
+        moves = _class_moves(
+            projected, _stub_outcomes(state, splits), class_of, spec, verdicts
         )
+        row = _thinned_row(src, projected, moves, denominator)
         if src in lumped_rows and lumped_rows[src] != row:
             raise AssertionError(
                 "stub states of one class produced different collapsed rows"
@@ -564,10 +582,8 @@ class StationaryResult:
         return self.pi is not None
 
 
-def stationary_distribution(
-    g: ChainGraph, tol: float = 1e-12, max_iter: int = 1_000_000
-) -> StationaryResult:
-    """Solve pi P = pi by power iteration to ``tol`` in sup norm.
+def stationary_distribution(g: ChainGraph) -> StationaryResult:
+    """Solve pi P = pi by power iteration to :data:`POWER_TOL` in sup norm.
 
     The chains built here always have positive diagonals, so power
     iteration converges on any strongly connected piece.  A reducible
@@ -578,12 +594,12 @@ def stationary_distribution(
     connected, components = check_strongly_connected(g)
     P = g.to_dense()
     if connected:
-        return StationaryResult(_power_iterate(P, tol, max_iter), None)
+        return StationaryResult(_power_iterate(P), None)
     per_component = []
     for members in components:
         if _component_is_closed(g, members):
             sub = P[np.ix_(members, members)]
-            per_component.append((members, _power_iterate(sub, tol, max_iter)))
+            per_component.append((members, _power_iterate(sub)))
     return StationaryResult(None, per_component)
 
 
@@ -592,14 +608,14 @@ def _component_is_closed(g: ChainGraph, members: list[int]) -> bool:
     return all(j in inside for i in members for j in g.numerators[i])
 
 
-def _power_iterate(P: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+def _power_iterate(P: np.ndarray) -> np.ndarray:
     import numpy as np
 
     n = P.shape[0]
     x = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         nxt = x @ P
-        if np.max(np.abs(nxt - x)) < tol:
+        if np.max(np.abs(nxt - x)) < POWER_TOL:
             return nxt
         x = nxt
     raise RuntimeError("power iteration did not converge")

@@ -96,7 +96,9 @@ def enumerate_vertex_space(
                 a: Hyperarc = (tail, head)
                 if same_size_prev and a < arcs[-1]:
                     continue  # canonical order among equal-size slots
-                if not _arc_admissible(a, arcs, same_size_prev, spec):
+                if not _arc_ok(a, spec) or (
+                    not spec.allow_multi and same_size_prev and a == arcs[-1]
+                ):
                     continue
                 arcs.append(a)
                 extend(k + 1)
@@ -105,14 +107,6 @@ def enumerate_vertex_space(
     extend(0)
     leaves.sort(key=lambda leaf: _canonical_bytes(n, leaf))
     return [DirectedHypergraph(n, leaf) for leaf in leaves]
-
-
-def _arc_admissible(
-    a: Hyperarc, prefix: list[Hyperarc], same_size_prev: bool, spec: SpaceSpec
-) -> bool:
-    if not _arc_ok(a, spec):
-        return False
-    return spec.allow_multi or not (same_size_prev and prefix and a == prefix[-1])
 
 
 def stub_state_to_hypergraph(state: StubState, n_vertices: int) -> DirectedHypergraph:

@@ -24,12 +24,8 @@ from .chains import (
     class_components,
     is_exactly_uniform_stationary,
 )
-from .enumeration import (
-    count_stub_realizations,
-    enumerate_vertex_space,
-    stub_state_to_hypergraph,
-)
-from .hypergraph import DegreeSequence, SpaceSpec, canonical_form
+from .enumeration import _project, count_stub_realizations, enumerate_vertex_space
+from .hypergraph import DegreeSequence, SpaceSpec, _canonical_bytes, canonical_form
 from .validation import D1_DEGREES, counterexample_suite
 
 FIG_DEGREES = DegreeSequence(
@@ -269,8 +265,7 @@ def thm4() -> tuple[bool, list[str]]:
         stub = build_stub_chain(d, stub_spec)
         stub_uniform = is_exactly_uniform_stationary(stub)
         fibers: Counter[bytes] = Counter(
-            canonical_form(stub_state_to_hypergraph(s, d.n_vertices))
-            for s in stub.states
+            _canonical_bytes(d.n_vertices, map(_project, s)) for s in stub.states
         )
         pushforward_ok = stub_uniform and all(
             fibers.get(canonical_form(H), 0) == count_stub_realizations(H)

@@ -15,12 +15,13 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .chains import build_stub_chain, check_strongly_connected, class_components
-from .enumeration import count_stub_realizations, enumerate_vertex_space
+from .enumeration import _project, count_stub_realizations, enumerate_vertex_space
 from .hypergraph import (
     DegreeSequence,
     DirectedHypergraph,
     Hyperarc,
     SpaceSpec,
+    _canonical_bytes,
     canonical_form,
 )
 
@@ -64,13 +65,12 @@ def uniformity_test(
     samples: Counter[bytes] | list[bytes],
     space: list[bytes],
     weights: list[int] | None = None,
-    min_expected: float = MIN_EXPECTED,
 ) -> UniformityReport:
     """Pearson chi-square of sampled canonical forms against the space.
 
     ``weights`` gives expected counts proportional to the weight per state
     (stub realization counts for a stub-mode pushforward test); the default
-    is flat.  Cells whose expected count falls below ``min_expected`` are
+    is flat.  Cells whose expected count falls below :data:`MIN_EXPECTED` are
     pooled into one bucket, the standard validity fix.
 
     The statistic and p-value are those of ``scipy.stats.chisquare``, from
@@ -95,7 +95,7 @@ def uniformity_test(
     pooled_obs, pooled_exp = [], []
     spill_obs = spill_exp = 0.0
     for o, e in zip(observed, expected):
-        if e < min_expected:
+        if e < MIN_EXPECTED:
             spill_obs += o
             spill_exp += e
         else:
@@ -269,7 +269,6 @@ def counterexample_suite() -> CounterexampleReport:
     reconnects instance (a).
     """
     from .chains import build_vertex_chain
-    from .enumeration import stub_state_to_hypergraph
 
     blocked_key = canonical_form(
         DirectedHypergraph(D1_DEGREES.n_vertices, D1_BLOCKED_START)
@@ -289,8 +288,7 @@ def counterexample_suite() -> CounterexampleReport:
     fiber = {
         k
         for k, state in enumerate(g.states)
-        if canonical_form(stub_state_to_hypergraph(state, g.degree.n_vertices))
-        == blocked_key
+        if _canonical_bytes(g.degree.n_vertices, map(_project, state)) == blocked_key
     }
     blocked_fiber_closed = all(set(g.numerators[k]) <= fiber for k in fiber)
 

@@ -6,7 +6,9 @@ are checked against a brute-force enumeration of one-shuffle outcomes at
 the stub level, transition matrices are rebuilt by adding one
 ``Fraction`` per (arc pair, target) instead of integer shares over one
 common denominator, and targets are judged by ``classify_features``
-instead of the library's feature verdict.
+instead of the library's feature verdict.  The chain oracles take their
+states from a brute-force product of stub assignments, judged the same way,
+instead of from the library's enumerators.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from hypershuffle import (
     canonical_form,
     canonicalize,
     classify_features,
-    enumerate_stub_space,
-    enumerate_vertex_space,
     hypergraph,
     multiset,
     stub_state_to_hypergraph,
@@ -230,13 +230,26 @@ def brute_stub_states(d: DegreeSequence) -> frozenset:
 
 def brute_stub_space(d: DegreeSequence, spec: SpaceSpec) -> list:
     """Product-and-dedup stub space, filtered on the vertex projection."""
+    n = d.n_vertices
+    verdicts = {}
     return sorted(
         state
         for state in brute_stub_states(d)
-        if not classify_features(
-            stub_state_to_hypergraph(state, d.n_vertices), spec.overlap_self_loops
-        ).forbidden_by(spec)
+        if not forbidden(n, stub_state_to_hypergraph(state, n).arcs, spec, verdicts)
     )
+
+
+def brute_classes(d: DegreeSequence, spec: SpaceSpec):
+    """``(keys, classes)``: the sorted projections of :func:`brute_stub_space`.
+
+    Each class is a canonical hypergraph, listed once, in canonical-form order.
+    """
+    by_key = {}
+    for state in brute_stub_space(d, spec):
+        H = stub_state_to_hypergraph(state, d.n_vertices)
+        by_key[canonical_form(H)] = H
+    keys = sorted(by_key)
+    return keys, [by_key[key] for key in keys]
 
 
 def _fraction_stub_transitions(arcs):
@@ -270,7 +283,7 @@ def forbidden(n: int, arcs, spec: SpaceSpec, verdicts: dict) -> bool:
 
 def fraction_stub_chain(d: DegreeSequence, spec: SpaceSpec):
     """``(keys, rows)`` of the stub chain, one ``Fraction`` per (pair, target)."""
-    states = enumerate_stub_space(d, spec)
+    states = brute_stub_space(d, spec)
     index = {s: k for k, s in enumerate(states)}
     verdicts = {}
     rows = []
@@ -303,8 +316,7 @@ def fraction_stub_chain(d: DegreeSequence, spec: SpaceSpec):
 def fraction_vertex_chain(d: DegreeSequence, spec: SpaceSpec):
     """``(keys, rows)`` of the vertex chain on classes, in ``Fraction`` terms."""
     spec = _as_vertex(spec)
-    states = enumerate_vertex_space(d, spec)
-    keys = [canonical_form(H) for H in states]
+    keys, states = brute_classes(d, spec)
     index = {key: k for k, key in enumerate(keys)}
     rows = []
     for self_idx, H in enumerate(states):
@@ -347,7 +359,7 @@ def fraction_lumped_chain(d: DegreeSequence, spec: SpaceSpec):
     """``(keys, rows)`` of the thinned stub walk collapsed onto classes."""
     spec = _as_vertex(spec)
     n = d.n_vertices
-    stub_states = enumerate_stub_space(d, spec)
+    stub_states = brute_stub_space(d, spec)
     projections = [stub_state_to_hypergraph(s, n) for s in stub_states]
     class_keys = sorted({canonical_form(H) for H in projections})
     class_of = {H.arcs: class_keys.index(canonical_form(H)) for H in projections}

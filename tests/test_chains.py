@@ -4,7 +4,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, gcd
 
 import numpy as np
@@ -283,6 +283,19 @@ class TestClassComponents:
         d = DegreeSequence(((0, 2), (1, 0)), ((2, 1),))
         assert class_components(d, SpaceSpec.from_string("")) == ([], [])
 
+    # Spaces that reject moves, recorded before the oracle took the class
+    # list as the in-space test.
+    @pytest.mark.parametrize("d, features, n_classes, partition", [
+        (D1_DEGREES, "sd", 2, [[0], [1]]),
+        (FIG_DEGREES, "", 4, [[0, 1, 2, 3]]),
+    ], ids=["three-tail-pairs-sd", "worked-example-none"])
+    def test_pinned_partitions(self, d, features, n_classes, partition):
+        for labeling in ("stub", "vertex"):
+            spec = SpaceSpec.from_string(features, labeling)
+            classes, components = class_components(d, spec)
+            assert len(classes) == n_classes
+            assert components == partition
+
 
 class TestStationary:
     def test_uniform_exact_and_by_power_iteration(self):
@@ -388,6 +401,12 @@ EDGE_LIST_PINS = [
      "5e36d1de7259debe9c0f9b43d3e866129f79c3554ae0f0fcb41b2d86b4f7ac60"),
     ("worked-example-lumped", FIG_DEGREES, "sdm", build_vertex_chain_lumped,
      "42a09476bb2778488168a3d5cf29a9fe214315503db2ee77e9fbcf04220f07a1"),
+    # Vertex chains in spaces that reject moves, recorded before the builders
+    # took the state list as the in-space test.
+    ("three-tail-pairs-vertex", D1_DEGREES, "sd", build_vertex_chain,
+     "c4e640b626fe0471cc3f49640622205be0bbf4ffd7d7f17f0fa8826dd0a8793e"),
+    ("worked-example-vertex", FIG_DEGREES, "", build_vertex_chain,
+     "5cf2bbfc43c50602f7fb198fd9d0c377e7394c8a659ba876bf7e2a1a853bb1be"),
 ]
 
 
@@ -397,7 +416,7 @@ EDGE_LIST_PINS = [
     ids=[f"{case[0]}-{case[2]}" for case in EDGE_LIST_PINS],
 )
 def test_chain_edge_list_pins(d, features, build, digest):
-    labeling = "vertex" if build is build_vertex_chain_lumped else "stub"
+    labeling = "stub" if build is build_stub_chain else "vertex"
     g = build(d, SpaceSpec.from_string(features, labeling))
     text = chain_edge_list(g)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
@@ -467,6 +486,22 @@ def block_degrees(seed: int) -> DegreeSequence:
             return d
 
 
+def count_deals(monkeypatch) -> list[int]:
+    """Record, per block ``build_stub_chain`` deals, its number of repartitions.
+
+    A block deals its tail splits times its head splits as one ``product``;
+    nothing else in ``build_stub_chain`` calls it.
+    """
+    deals: list[int] = []
+
+    def counted(*splits):
+        deals.append(len(splits[0]) * len(splits[1]))
+        return product(*splits)
+
+    monkeypatch.setattr(chains, "product", counted)
+    return deals
+
+
 def count_allowed(monkeypatch) -> Counter:
     """Count the feature verdicts ``chains`` asks for, by answer."""
     calls: Counter = Counter()
@@ -502,7 +537,7 @@ class TestPairBlocks:
         # Every state holds the same, empty, others: each row is the one
         # block's moves plus its own stay, so each column is one positive
         # value off the diagonal.
-        calls = count_allowed(monkeypatch)
+        deals = count_deals(monkeypatch)
         spec = SpaceSpec.from_string(features)
         assert_matches_oracle(build_stub_chain, fraction_stub_chain, TWO_SIZES_D, spec)
         g = build_stub_chain(TWO_SIZES_D, spec)
@@ -511,7 +546,7 @@ class TestPairBlocks:
             column = {row.get(t, 0) for s, row in enumerate(g.numerators) if s != t}
             assert len(column) == 1 and column.pop() > 0
         # Two builds, each dealing the one block's C(3,1) C(3,2) repartitions once.
-        assert sum(calls.values()) == 2 * 9
+        assert deals == [9, 9]
 
     @pytest.mark.parametrize(
         "d, features",
@@ -531,18 +566,63 @@ class TestPairBlocks:
               block_degrees(8500)],
     )
     def test_targets_listed_once_per_distinct_others(self, d, monkeypatch):
-        # A block deals C(|tail pool|, ta) C(|head pool|, ha) repartitions
-        # and asks one feature verdict for each, once per build.
+        # A block deals C(|tail pool|, ta) C(|head pool|, ha) repartitions,
+        # once per build.
         g = build_stub_chain(d, SDM)
-        deals = {}
+        expected = {}
         for state in g.states:
             for i, j in combinations(range(len(state)), 2):
                 others = state[:i] + state[i + 1 : j] + state[j + 1 :]
                 (ta, ha), (tb, hb) = size(state[i]), size(state[j])
-                deals[others] = comb(ta + tb, ta) * comb(ha + hb, ha)
-        calls = count_allowed(monkeypatch)
+                expected[others] = comb(ta + tb, ta) * comb(ha + hb, ha)
+        deals = count_deals(monkeypatch)
         build_stub_chain(d, SDM)
-        assert sum(calls.values()) == sum(deals.values())
+        assert Counter(deals) == Counter(expected.values())
+
+
+def drop_first_state(monkeypatch, name: str, key) -> None:
+    """Make ``chains``' enumerator ``name`` drop its first state.
+
+    Every state with the first one's ``key`` goes, so the lumped route,
+    whose states are the projections of stub states, loses one class.
+    """
+    enumerate_space = getattr(chains, name)
+
+    def dropped(d, spec):
+        states = enumerate_space(d, spec)
+        return [s for s in states if key(s) != key(states[0])]
+
+    monkeypatch.setattr(chains, name, dropped)
+
+
+def fig_class(state) -> bytes:
+    """The canonical form of a worked-example stub state's class."""
+    return canonical_form(stub_state_to_hypergraph(state, FIG_DEGREES.n_vertices))
+
+
+# Per reader: the builder, the enumerator it reads, and a state's identity.
+READERS = {
+    "stub": (build_stub_chain, "enumerate_stub_space", lambda state: state),
+    "vertex": (build_vertex_chain, "enumerate_vertex_space", canonical_form),
+    "lumped": (build_vertex_chain_lumped, "enumerate_stub_space", fig_class),
+    "components": (class_components, "enumerate_vertex_space", canonical_form),
+}
+
+
+class TestStateListIsTheSpace:
+    """Each exact reader takes its state list as the space, and checks it."""
+
+    @pytest.mark.parametrize("features", ["sdm", ""])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_dropped_allowed_state_raises(self, reader, features, monkeypatch):
+        # A move into the dropped state misses the list, and the feature
+        # verdict, taken on a miss, allows it.
+        build, name, key = READERS[reader]
+        spec = SpaceSpec.from_string(features)
+        build(FIG_DEGREES, spec)
+        drop_first_state(monkeypatch, name, key)
+        with pytest.raises(AssertionError, match="one-shuffle target missing"):
+            build(FIG_DEGREES, spec)
 
 
 class TestIntegerRowsMatchFractionOracle:
@@ -572,6 +652,19 @@ class TestIntegerRowsMatchFractionOracle:
                 vertex = SpaceSpec.from_string(features, "vertex", overlap)
                 for build, oracle in VERTEX_ROUTES:
                     assert_matches_oracle(build, oracle, d, vertex)
+
+    # Two arcs of these can coincide, so every space without ``m`` has
+    # moves into multi-arcs to reject.
+    @pytest.mark.parametrize("name", ["worked-example", "three-tail-pairs",
+                                      "degenerate-vs-multi", "four-edges"])
+    def test_multi_arc_instances(self, name):
+        d = {**BATTERY_DEGREES, "four-edges": FOUR_EDGES}[name]
+        for features in ALL_FEATURE_SETS:
+            stub = SpaceSpec.from_string(features)
+            assert_matches_oracle(build_stub_chain, fraction_stub_chain, d, stub)
+            vertex = SpaceSpec.from_string(features, "vertex")
+            for build, oracle in VERTEX_ROUTES:
+                assert_matches_oracle(build, oracle, d, vertex)
 
     def test_scaled_rows_give_the_same_integers(self):
         vertex = SpaceSpec.from_string("sdm", "vertex")
