@@ -33,6 +33,7 @@ from math import comb, factorial, gcd, lcm
 from typing import TYPE_CHECKING, Sequence
 
 from .enumeration import (
+    STATE_LIMIT,
     ProjectedState,
     Stub,
     StubArc,
@@ -59,7 +60,6 @@ from .shuffle import _alpha_terms, _split_weight
 if TYPE_CHECKING:
     import numpy as np
 
-STATE_LIMIT = 5000
 # Power iteration stops at this sup-norm change, or fails after the cap.
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 1_000_000

@@ -8,6 +8,12 @@ failure, 2 usage error.  Output is byte-deterministic under fixed seed and
 flags; the default seed comes from ``HYPERSHUFFLE_SEED`` when set.
 ``sample`` picks the scalar kernel or the replica engine from its own input
 (:func:`_use_replicas`).  Output paths are opened before any work starts.
+
+Loading rule: at module level this file imports only the standard library,
+``__version__`` and :mod:`.hypergraph`.  :func:`build_parser` imports the
+size limits and the ``reproduce`` targets, and each command imports the
+layers it runs, so ``check`` and a scalar ``sample`` never load
+:mod:`.chains`, and numpy loads only where an engine or test needs it.
 """
 
 from __future__ import annotations
@@ -20,27 +26,6 @@ from collections import Counter
 from contextlib import ExitStack
 
 from . import __version__
-from .chains import (
-    STATE_LIMIT,
-    build_stub_chain,
-    build_vertex_chain,
-    chain_edge_list,
-    check_aperiodic,
-    check_doubly_stochastic,
-    check_regular,
-    check_strongly_connected,
-    is_exactly_uniform_stationary,
-    tv_curve,
-    tv_curve_csv,
-)
-from .dhg import DhgParseError, parse_dhg, serialize_dhg
-from .enumeration import (
-    STUB_STATE_LIMIT,
-    VERTEX_STUB_LIMIT,
-    EnumerationLimitError,
-    count_stub_realizations,
-    enumerate_vertex_space,
-)
 from .hypergraph import (
     DirectedHypergraph,
     HypergraphError,
@@ -50,10 +35,6 @@ from .hypergraph import (
     degree_sequence,
     in_space,
 )
-from .replicas import _outcome_count, _run_replicas
-from .reproduce import TARGETS
-from .shuffle import ChainConfig, run_chain, spawn_seed
-from .validation import stub_pushforward_weights, uniformity_test
 
 DEFAULT_SEED_ENV = "HYPERSHUFFLE_SEED"
 
@@ -102,6 +83,8 @@ def _spec(args, labeling=None) -> SpaceSpec:
 
 
 def _load(path: str) -> DirectedHypergraph:
+    from .dhg import parse_dhg
+
     with open(path, "r", encoding="utf-8") as fh:
         return parse_dhg(fh.read())
 
@@ -136,12 +119,17 @@ def _use_replicas(
     Alpha denominators are at most twice that outcome count, so a routed
     run stays inside the engine's ``2**53`` range.
     """
+    from .replicas import _outcome_count
+
     if samples < max(_MIN_REPLICAS, _outcome_count(H0)):
         return False
     return report is not None or samples * steps >= _MIN_STEPS_WITHOUT_REPORT
 
 
 def cmd_sample(args) -> int:
+    from .dhg import serialize_dhg
+    from .shuffle import ChainConfig, run_chain, spawn_seed
+
     H0 = _load(args.input)
     spec = _spec(args)
     with ExitStack() as stack:
@@ -151,6 +139,8 @@ def cmd_sample(args) -> int:
         # and canonicalizes each distinct final row once.
         if _use_replicas(H0, args.samples, args.steps, args.report):
             import numpy as np
+
+            from .replicas import _run_replicas
 
             engine = "replicas"
             # numpy takes only nonnegative seeds; -1 is no scalar sample's index.
@@ -182,6 +172,9 @@ def _report(
     args, H0: DirectedHypergraph, spec: SpaceSpec, counts, engine: str
 ) -> str:
     """The JSON uniformity report; its verdict names why a test could not run."""
+    from .enumeration import EnumerationLimitError, enumerate_vertex_space
+    from .validation import stub_pushforward_weights, uniformity_test
+
     context = {
         "version": __version__,
         "engine": engine,
@@ -210,6 +203,13 @@ def _report(
 
 
 def cmd_enumerate(args) -> int:
+    from .dhg import serialize_dhg
+    from .enumeration import (
+        VERTEX_STUB_LIMIT,
+        count_stub_realizations,
+        enumerate_vertex_space,
+    )
+
     H = _load(args.input)
     d = degree_sequence(H)
     spec = _spec(args)
@@ -228,6 +228,20 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_chain_verify(args) -> int:
+    from .chains import (
+        build_stub_chain,
+        build_vertex_chain,
+        chain_edge_list,
+        check_aperiodic,
+        check_doubly_stochastic,
+        check_regular,
+        check_strongly_connected,
+        is_exactly_uniform_stationary,
+        tv_curve,
+        tv_curve_csv,
+    )
+    from .enumeration import STATE_LIMIT
+
     H = _load(args.input)
     d = degree_sequence(H)
     spec = _spec(args)
@@ -271,6 +285,8 @@ def cmd_chain_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from .reproduce import TARGETS
+
     target = TARGETS[args.target]
     passed, lines = target()
     _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
@@ -278,6 +294,8 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .dhg import DhgParseError
+
     try:
         H = _load(args.input)
     except (DhgParseError, HypergraphError) as exc:
@@ -300,6 +318,9 @@ def cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .enumeration import STATE_LIMIT, STUB_STATE_LIMIT, VERTEX_STUB_LIMIT
+    from .reproduce import TARGETS
+
     parser = argparse.ArgumentParser(
         prog="hypershuffle",
         description="Degree-preserving double hyperarc shuffles on directed "

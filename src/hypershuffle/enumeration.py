@@ -33,8 +33,11 @@ StubArc = tuple[tuple[Stub, ...], tuple[Stub, ...]]
 StubState = tuple[StubArc, ...]
 ProjectedState = tuple[Hyperarc, ...]  # sorted vertex projection of a state
 
+# Size guards: total stubs for the vertex and stub enumerators, and
+# states for an exact chain (``chains``).
 VERTEX_STUB_LIMIT = 16
 STUB_STATE_LIMIT = 12
+STATE_LIMIT = 5000
 
 
 class EnumerationLimitError(ValueError):

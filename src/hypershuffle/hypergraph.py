@@ -319,11 +319,26 @@ def canonical_form(H: DirectedHypergraph) -> bytes:
     return _canonical_bytes(H.n_vertices, H.arcs)
 
 
+class _ArcFormats(dict):
+    """``%d`` format string of an arc, by (tail size, head size), built once."""
+
+    def __missing__(self, sizes: tuple[int, int]) -> str:
+        tail, head = sizes
+        self[sizes] = fmt = ",".join(["%d"] * tail) + ">" + ",".join(["%d"] * head)
+        return fmt
+
+
+_ARC_FORMATS = _ArcFormats()
+
+
 def _canonical_bytes(n_vertices: int, arcs: Iterable[Hyperarc]) -> bytes:
-    """:func:`canonical_form` of normalized arcs, without a hypergraph."""
-    body = ";".join(
-        ",".join(map(str, t)) + ">" + ",".join(map(str, h)) for t, h in sorted(arcs)
-    )
+    """:func:`canonical_form` of normalized arcs, without a hypergraph.
+
+    Vertices render with ``%d``, so an equal ``bool`` or integer subclass
+    renders as the integer it equals.
+    """
+    formats = _ARC_FORMATS
+    body = ";".join([formats[len(t), len(h)] % (t + h) for t, h in sorted(arcs)])
     return f"{n_vertices}|{body}".encode("ascii")
 
 

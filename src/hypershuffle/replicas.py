@@ -63,9 +63,8 @@ from .hypergraph import (
     Hyperarc,
     SpaceSpec,
     _canonical_bytes,
+    _feature_ok,
     canonical_form,
-    degree_sequence,
-    in_space,
 )
 from .shuffle import (
     _RANDOM_BITS,
@@ -133,7 +132,7 @@ def _run_replicas(
 
     if steps < 0 or replicas < 0:
         raise ValueError("steps and replicas must be nonnegative")
-    if not in_space(H0, spec, degree_sequence(H0)):
+    if not _feature_ok(H0.arcs, spec):
         raise ChainConfigError("start state is outside the configured space")
     m = H0.n_arcs
     arcs = list(dict.fromkeys(H0.arcs))

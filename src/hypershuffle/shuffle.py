@@ -28,12 +28,13 @@ per step.  It keeps a private list of arcs, positional like
 of the arcs present, and updates both in place on acceptance.  The
 multi-arc check and the pair multiplicities in alpha are then ``dict.get``
 lookups, so a step costs O(arc size) rather than O(number of arcs).  The
-list is frozen into a hypergraph once, at the end, through the validating
-constructor.  The
-single-step functions (:func:`propose`, :func:`apply_shuffle`,
-:func:`acceptance_probability`, :func:`step`) share the same private
-helpers and look multiplicities up with ``tuple.count`` on the frozen arcs,
-which is cheaper than building a ``dict`` for one call.
+list is frozen into a hypergraph once, at the end, without re-validating
+arcs dealt from the start state's own.  The single-step functions
+(:func:`propose`, :func:`apply_shuffle`, :func:`acceptance_probability`,
+:func:`step`) share the same private helpers and look multiplicities up
+with ``tuple.count`` on the frozen arcs, which is cheaper than building a
+``dict`` for one call.  Only the two exact-probability functions build
+``Fraction``s, and they import :mod:`fractions` themselves.
 
 Exact alpha.  The acceptance probability is a ratio ``num/den`` of integers
 (:func:`_alpha_terms`).  ``random.Random.random()`` returns ``k / 2**53``
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -57,8 +57,7 @@ from .hypergraph import (
     SpaceSpec,
     _arc_ok,
     _canonical_bytes,
-    degree_sequence,
-    in_space,
+    _feature_ok,
 )
 
 
@@ -163,6 +162,8 @@ def propose(H: DirectedHypergraph, rng: random.Random) -> ShuffleProposal:
 
 def proposal_probability(H: DirectedHypergraph, p: ShuffleProposal) -> Fraction:
     """Probability of drawing exactly this stub-level repartition."""
+    from fractions import Fraction
+
     (tail_i, head_i), (tail_j, head_j) = H.arcs[p.arc_i], H.arcs[p.arc_j]
     nt, kt = len(tail_i) + len(tail_j), len(tail_i)
     nh, kh = len(head_i) + len(head_j), len(head_i)
@@ -247,6 +248,8 @@ def acceptance_probability(H: DirectedHypergraph, p: ShuffleProposal) -> Fractio
     arcs, changes the outcome count: ``m_a * m_b`` pair choices become
     ``C(m_a, 2)``, and equal-size repartitions collapse in pairs.
     """
+    from fractions import Fraction
+
     arc_a, arc_b = proposed_arcs(p)
     a, b = H.arcs[p.arc_i], H.arcs[p.arc_j]
     weight = _split_weight(arc_a[0], arc_b[0]) * _split_weight(arc_a[1], arc_b[1])
@@ -386,7 +389,7 @@ def run_chain(H0: DirectedHypergraph, config: ChainConfig) -> ChainResult:
     on the private arc list and ``dict`` described in the module notes.
     """
     spec = config.spec
-    if not in_space(H0, spec, degree_sequence(H0)):
+    if not _feature_ok(H0.arcs, spec):
         raise ChainConfigError("start state is outside the configured space")
     rng = random.Random(config.seed)
     n = H0.n_vertices
@@ -416,7 +419,8 @@ def run_chain(H0: DirectedHypergraph, config: ChainConfig) -> ChainResult:
                     del counts[old]
         if trace is not None:
             trace.append(_canonical_bytes(n, arcs))
-    final = H0.replace_arcs(arcs)
+    # Every arc was dealt from H0's own, as in step.
+    final = H0._replace_normalized_arcs(tuple(arcs))
     return ChainResult(final=final, trace=tuple(trace) if trace is not None else None)
 
 

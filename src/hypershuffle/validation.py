@@ -5,7 +5,8 @@ enumerated space: in stub mode the expected counts are proportional to each
 class's stub realization count (the pushforward of the uniform stub
 distribution), in vertex mode they are flat over classes.  Thresholds
 (p > 0.01 to pass, p < 1e-4 for negative controls) are artifact choices and
-are recorded in every report.
+are recorded in every report.  Only the counterexample searches build
+chains, and they import :mod:`.chains` themselves.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .chains import build_stub_chain, check_strongly_connected, class_components
 from .enumeration import _project, count_stub_realizations, enumerate_vertex_space
 from .hypergraph import (
     DegreeSequence,
@@ -268,7 +268,12 @@ def counterexample_suite() -> CounterexampleReport:
     one per space.  A control confirms that re-allowing multi-arcs
     reconnects instance (a).
     """
-    from .chains import build_vertex_chain
+    from .chains import (
+        build_stub_chain,
+        build_vertex_chain,
+        check_strongly_connected,
+        class_components,
+    )
 
     blocked_key = canonical_form(
         DirectedHypergraph(D1_DEGREES.n_vertices, D1_BLOCKED_START)
@@ -328,6 +333,8 @@ def find_digraph_disconnection(
     8 arcs the instances exceed :func:`enumerate_vertex_space`'s stub
     guard, which raises ``EnumerationLimitError``.
     """
+    from .chains import class_components
+
     if "s" in features:
         raise ValueError("the reduction argument concerns no-self-loop spaces")
     spec = SpaceSpec.from_string(features)

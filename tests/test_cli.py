@@ -21,7 +21,7 @@ from hypershuffle import (
     serialize_dhg,
     split_dhg_stream,
 )
-from hypershuffle import cli
+from hypershuffle import chains, cli, replicas, shuffle
 from hypershuffle.cli import main
 from hypershuffle.replicas import _outcome_count, _split_counts
 from conftest import D1_BLOCKED, random_instance, src_env
@@ -549,8 +549,8 @@ def refuse(*args, **kwargs):
 @pytest.mark.parametrize("flag", ["--out", "--report"])
 def test_sample_checks_output_paths_first(fig_file, tmp_path, capsys, monkeypatch,
                                           flag, samples):
-    monkeypatch.setattr(cli, "run_chain", refuse)
-    monkeypatch.setattr(cli, "_run_replicas", refuse)
+    monkeypatch.setattr(shuffle, "run_chain", refuse)
+    monkeypatch.setattr(replicas, "_run_replicas", refuse)
     other = "--report" if flag == "--out" else "--out"
     code = run_cli("sample", "--input", fig_file, "--samples", samples,
                    other, str(tmp_path / "other"), flag, str(tmp_path))
@@ -561,7 +561,7 @@ def test_sample_checks_output_paths_first(fig_file, tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("flag", ["--out", "--export-chain", "--export-tv"])
 def test_chain_verify_checks_output_paths_first(fig_file, tmp_path, capsys,
                                                 monkeypatch, flag):
-    monkeypatch.setattr(cli, "build_stub_chain", refuse)
+    monkeypatch.setattr(chains, "build_stub_chain", refuse)
     code = run_cli("chain-verify", "--input", fig_file, flag, str(tmp_path))
     assert code == 1
     assert capsys.readouterr().err == is_a_directory(tmp_path)

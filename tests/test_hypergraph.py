@@ -202,6 +202,29 @@ class TestCanonicalForm:
             rng.shuffle(arcs)
             assert canonical_form(H.replace_arcs(arcs)) == canonical_form(H)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_join_rendering(self, seed):
+        # The rendering with one ``str`` join per multiset, which the ``%d``
+        # formats replaced, on int arcs of sizes 1-6 over up to 200 vertices.
+        rng = random.Random(seed)
+        n = rng.randint(1, 200)
+        arcs = [
+            (tuple(rng.choices(range(n), k=rng.randint(1, 6))),
+             tuple(rng.choices(range(n), k=rng.randint(1, 6))))
+            for _ in range(rng.randint(0, 300))
+        ]
+        H = hypergraph(n, arcs)
+        body = ";".join(
+            ",".join(map(str, t)) + ">" + ",".join(map(str, h)) for t, h in sorted(H.arcs)
+        )
+        assert canonical_form(H) == f"{n}|{body}".encode("ascii")
+
+    def test_bool_vertex_renders_as_the_integer_it_equals(self):
+        H_bool = hypergraph(2, [((True,), (False,))])
+        H_int = hypergraph(2, [((1,), (0,))])
+        assert H_bool == H_int
+        assert canonical_form(H_bool) == canonical_form(H_int) == b"2|1>0"
+
 
 class TestValidation:
     def test_empty_tail_rejected(self):

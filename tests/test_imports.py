@@ -1,7 +1,8 @@
-"""Imports: numpy and scipy load only in the functions that use them.
+"""Imports: each layer, and numpy and scipy, load only when first used.
 
 The subprocess tests run fresh interpreters, since the test process itself
-has numpy and scipy loaded.  The chi-square tests pin ``uniformity_test``
+has numpy, scipy and every layer loaded.  The public names resolve through
+one table in ``__init__``.  The chi-square tests pin ``uniformity_test``
 to ``scipy.stats.chisquare``, bit for bit.  No module imports a name it
 never uses.
 """
@@ -27,6 +28,10 @@ HEAVY = """
 import sys
 heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
 assert not heavy, heavy
+"""
+NO_CHAINS = """
+import sys
+assert "hypershuffle.chains" not in sys.modules, sorted(sys.modules)
 """
 
 
@@ -70,6 +75,50 @@ def test_no_unused_imports(module):
 def test_package_import_loads_neither_numpy_nor_scipy():
     proc = run_python("-c", "import hypershuffle, hypershuffle.cli\n" + HEAVY)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_and_cli_import_load_only_hypergraph():
+    code = (
+        "import sys\n"
+        "import hypershuffle, hypershuffle.cli\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'hypershuffle')\n"
+        "assert loaded == ['hypershuffle', 'hypershuffle.cli', 'hypershuffle.hypergraph'], loaded\n"
+        # A submodule and a public name load their layer on first use.
+        "assert hypershuffle.validation is sys.modules['hypershuffle.validation']\n"
+        "assert hypershuffle.build_stub_chain.__module__ == 'hypershuffle.chains'\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_check_and_scalar_sample_leave_chains_unloaded(tmp_path):
+    path = tmp_path / "blocked.dhg"
+    path.write_text(serialize_dhg(D1_BLOCKED))
+    check = ["check", "--input", str(path), "--space", "sd"]
+    sample = ["sample", "--input", str(path), "--space", "sd", "--samples", "3",
+              "--out", str(tmp_path / "s.dhg")]
+    code = (
+        "from hypershuffle.cli import main\n"
+        f"assert main({check!r}) == 0\n" + NO_CHAINS
+        + f"assert main({sample!r}) == 0\n" + NO_CHAINS
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "s.dhg").read_text().count("# sample ") == 3
+
+
+def test_reproduce_help_lists_the_targets_without_loading_chains():
+    code = (
+        "import sys\n"
+        "from hypershuffle.cli import main\n"
+        "try:\n"
+        "    main(['reproduce', '--help'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n" + NO_CHAINS
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert "{fig-fixed-degrees,thm1,thm2,thm3,thm4}" in proc.stdout
 
 
 def test_check_and_enumerate_load_neither_numpy_nor_scipy(tmp_path):
@@ -181,3 +230,60 @@ def test_uniformity_test_matches_scipy_with_one_degree_of_freedom(weights):
     assert report.dof == 1
     stat, p, dof = reference_chisquare(samples, space, weights)
     assert (report.statistic, report.p_value, report.dof) == (stat, p, dof)
+
+
+# ---------------------------------------------------------------------------
+# The public API table
+
+
+def test_every_public_name_resolves_to_its_defining_module():
+    listed = dir(hypershuffle)
+    assert len(set(hypershuffle.__all__)) == len(hypershuffle.__all__) == 54
+    for name in hypershuffle.__all__:
+        obj = getattr(hypershuffle, name)
+        assert name in listed
+        assert obj.__module__.startswith("hypershuffle.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from hypershuffle import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(hypershuffle.__all__)
+    assert all(namespace[name] is getattr(hypershuffle, name) for name in namespace)
+
+
+def test_public_name_is_looked_up_on_every_access(monkeypatch):
+    # Nothing is copied into the package, so a patch of the defining
+    # module (as bench/tracer.py installs) is what the package returns.
+    from hypershuffle import shuffle
+
+    def patched(*args, **kwargs):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(shuffle, "run_chain", patched)
+    assert hypershuffle.run_chain is patched
+
+
+def test_hypergraph_stays_the_function_after_every_submodule_loads():
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py")
+                     if p.stem not in ("__init__", "__main__"))
+    code = (
+        "import importlib, sys\n"
+        "import hypershuffle\n"
+        "import hypershuffle.hypergraph\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module('hypershuffle.' + name)\n"
+        "from hypershuffle import hypergraph\n"
+        "assert hypergraph is sys.modules['hypershuffle.hypergraph'].hypergraph\n"
+        "assert hypershuffle.hypergraph is hypergraph\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_run_replicas", "__wrapped__"])
+def test_unknown_name_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(hypershuffle, name)

@@ -21,7 +21,6 @@ from hypershuffle import (
     uniformity_test,
 )
 import hypershuffle.chains
-import hypershuffle.validation
 from hypershuffle.chains import class_components
 from hypershuffle.validation import (
     _degree_vectors,
@@ -168,7 +167,7 @@ class TestDigraphSearch:
             decided.append(tuple(sorted(d.vertex_degrees)))
             return class_components(d, spec)
 
-        monkeypatch.setattr(hypershuffle.validation, "class_components", counted)
+        monkeypatch.setattr(hypershuffle.chains, "class_components", counted)
         assert find_digraph_disconnection(features) == THREE_CYCLES
         assert len(decided) == len(set(decided)) == 53
 
@@ -176,8 +175,8 @@ class TestDigraphSearch:
         def refuse(*args, **kwargs):
             raise AssertionError("the search must not build a stub chain")
 
-        monkeypatch.setattr(hypershuffle.validation, "build_stub_chain", refuse)
-        monkeypatch.setattr(hypershuffle.validation, "check_strongly_connected", refuse)
+        monkeypatch.setattr(hypershuffle.chains, "build_stub_chain", refuse)
+        monkeypatch.setattr(hypershuffle.chains, "check_strongly_connected", refuse)
         monkeypatch.setattr(hypershuffle.chains, "enumerate_stub_space", refuse)
         assert find_digraph_disconnection("") == THREE_CYCLES
 
