@@ -14,6 +14,7 @@ equal, which is what :func:`canonical_form` captures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Literal, Sequence
 
 Multiset = tuple[int, ...]
@@ -39,6 +40,9 @@ class DirectedHypergraph:
 
     Arcs are normalized on construction (tails and heads sorted); the order
     of the arc list itself is preserved because it carries arc identity.
+    The vertex count and every vertex must be integers (``operator.index``
+    accepts them, so ``True`` and numpy integers pass and are stored as
+    ``int``); anything else raises :class:`HypergraphError`.
     """
 
     n_vertices: int
@@ -46,14 +50,23 @@ class DirectedHypergraph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "n_vertices", index(self.n_vertices))
+        except TypeError:
+            raise HypergraphError(
+                f"vertex count {self.n_vertices!r} is not an integer"
+            ) from None
         if self.n_vertices < 0:
             raise HypergraphError("vertex count must be nonnegative")
         if self.labels is not None and len(self.labels) != self.n_vertices:
             raise HypergraphError("label table length must equal n_vertices")
         normalized = []
         for k, (tail, head) in enumerate(self.arcs):
-            tail = multiset(tail)
-            head = multiset(head)
+            try:
+                tail = multiset(map(index, tail))
+                head = multiset(map(index, head))
+            except TypeError:
+                raise HypergraphError(f"arc {k} has a vertex that is not an integer") from None
             if not tail or not head:
                 raise HypergraphError(f"arc {k} has an empty tail or head")
             for v in tail + head:
@@ -93,7 +106,7 @@ def hypergraph(
     labels: Sequence[str] | None = None,
 ) -> DirectedHypergraph:
     """Convenience constructor accepting unsorted tails/heads."""
-    built = tuple(arc(t, h) for t, h in arcs)
+    built = tuple((tuple(t), tuple(h)) for t, h in arcs)
     return DirectedHypergraph(n_vertices, built, tuple(labels) if labels else None)
 
 

@@ -8,24 +8,34 @@ per-run intern table (arc list plus arc-to-id dict), so a step's cost does
 not grow with the vertex count.  Per step every replica draws, in order,
 positions ``i < j`` as ``shuffle._draw_proposal`` does, a tail-split index
 in ``[0, C(t_i + t_j, t_i))``, a head-split index likewise and, in vertex
-mode, the thinning uniform.  Each distinct outcome ``(id_i, id_j, tail
-index, head index)`` is evaluated once and cached, by ``shuffle._split_at``
-(the split the scalar kernel deals for the same index, with its count of
-stub-level ways), ``_outcome_admissible`` (self-loop, degenerate,
-``arc_a == arc_b``) and ``_alpha_outcome`` (alpha's outcome part, given
-the tail's ways times the head's).  What depends on a
-replica's other arcs, copies of a new arc among the ``m - 2`` that stay and
-alpha's pair multiplicities, is compared per row as in ``_admissible`` and
-``_alpha_terms``, and ``_alpha_rejects`` thins elementwise.  Finals are
-tallied with ``np.unique`` over sorted rows; ``_run_replicas`` returns the
-rows themselves, from which ``hypershuffle sample`` builds the samples.
+mode, the thinning uniform.  One ``Generator.integers`` call draws both
+split indices over a ``(2, R)`` bound array, the tail row then the head
+row; numpy deals bounded integers one element at a time in C order, so
+these are the integers of one call per row, and the stream is unchanged.
+The bounds come from one gather in a table of split counts by the slots'
+(tail size, head size) classes.  Each distinct outcome ``(id_i, id_j, tail
+index, head index)`` is evaluated once and cached as ``(new_a, new_b, num,
+den)``, by ``shuffle._split_at`` (the split the scalar kernel deals for the
+same index, with its count of stub-level ways), ``_outcome_admissible``
+(self-loop, degenerate, ``arc_a == arc_b``) and ``_alpha_outcome``
+(alpha's outcome part, given the tail's ways times the head's).  Both new
+arcs are interned either way; a refused outcome keeps the ids it drew, so
+writing it changes nothing.  What depends on a replica's other arcs,
+copies of a new arc among the ``m - 2`` that stay and alpha's pair
+multiplicities, is compared per row as in ``_admissible`` and
+``_alpha_terms``, and ``_alpha_rejects`` thins elementwise; a replica that
+fails keeps its old ids.  Rows are read and written through their flat
+view, at ``r * m + slot``.  Finals are tallied with ``np.unique`` over
+sorted rows; ``_run_replicas`` returns the rows themselves, from which
+``hypershuffle sample`` builds the samples.
 
 Replicas find their outcomes one of two ways.  Where the outcome space is
 small, each outcome packs into one code ``((head * T + tail) * K + id_j) *
 K + id_i``, with ``T`` and ``H`` the largest tail and head split counts
 and ``K`` a power of two at least the intern table's size, and a dense
-table indexed by code mirrors the cache: a step is one gather, and only
-the codes not yet in it are evaluated.  The table is used while its
+table indexed by code mirrors the cache, one row per field of the cached
+outcome: a step is one gather, and only the codes not yet in it (``den``
+still 0) are evaluated.  The table is used while its
 ``K * K * T * H`` entries stay within ``_TABLE_PER_REPLICA`` per replica,
 or within ``_TABLE_FLOOR`` for small runs; ``K`` doubles, re-packing the
 cache, as the intern table grows past it.
@@ -142,11 +152,14 @@ def _run_replicas(
     if m < 2 or steps == 0 or replicas == 0:
         return ids, arcs
 
-    t_size = np.array([len(t) for t, _ in H0.arcs])
-    h_size = np.array([len(h) for _, h in H0.arcs])
-    tail_splits, head_splits = _split_counts(t_size), _split_counts(h_size)
-    tails, heads = int(tail_splits.max()), int(head_splits.max())
+    kind, splits = _pair_splits(H0)
+    tails, heads = int(splits[0].max()), int(splits[1].max())
+    # Flat class-pair index: a slot pair (lo, hi) reads column kind_row[lo] + kind[hi].
+    kind_row, splits = kind * splits.shape[1], splits.reshape(2, -1)
     thin = spec.labeling == "vertex"
+    # Only the multi-arc check and alpha's pair multiplicities read a
+    # replica's other arcs; without them every outcome is written as drawn.
+    per_row = thin or not spec.allow_multi
     cache: dict[tuple[int, ...], tuple] = {}
     table: np.ndarray | None = None
     capacity = 0
@@ -164,9 +177,11 @@ def _run_replicas(
         arc_a, arc_b = (tail_a, head_a), (tail_b, head_b)
         weight = tail_ways * head_ways
         num, den = _alpha_outcome(a, b, arc_a, arc_b, weight) if thin else (1, 1)
-        ok = _outcome_admissible(arc_a, arc_b, spec)
+        new = intern(arc_a), intern(arc_b)
+        if not _outcome_admissible(arc_a, arc_b, spec):
+            new = key[:2]  # a refused outcome keeps the arcs it drew
         # den is capped to fit int64; a capped den fails the per-row limit.
-        cache[key] = (intern(arc_a), intern(arc_b), ok, num, min(den, _ALPHA_DEN_LIMIT))
+        cache[key] = (*new, num, min(den, _ALPHA_DEN_LIMIT))
         return cache[key]
 
     def pack(id_a, id_b, tail_index, head_index):
@@ -190,19 +205,19 @@ def _run_replicas(
         table = None
         bound = max(_TABLE_PER_REPLICA * replicas, _TABLE_FLOOR)
         if size <= min(bound, _INDEX_LIMIT):
-            table = np.zeros((5, size), dtype=np.int64)
+            table = np.zeros((4, size), dtype=np.int64)
             if cache:
                 keys = np.array(list(cache), dtype=np.int64).T
                 table[:, pack(*keys)] = np.array(list(cache.values()), dtype=np.int64).T
 
     def looked_up(id_a, id_b, tail_index, head_index) -> np.ndarray:
         code = pack(id_a, id_b, tail_index, head_index)
-        columns = table[:, code]
-        unknown = columns[4] == 0  # every evaluated outcome has den >= 1
-        if unknown.any():
-            for c in np.unique(code[unknown]).tolist():
-                table[:, c] = evaluate(unpack(c))
-            columns = table[:, code]
+        columns = table.take(code, axis=1)
+        # Every evaluated outcome has den >= 1.
+        if np.count_nonzero(columns[3]) < len(code):
+            new = np.unique(code[columns[3] == 0])
+            table[:, new] = np.array([evaluate(unpack(c)) for c in new.tolist()]).T
+            columns = table.take(code, axis=1)
             if len(arcs) > capacity:
                 rebuild()
         return columns
@@ -221,43 +236,46 @@ def _run_replicas(
 
     rebuild()
     rng = np.random.default_rng(seed)
-    rows = np.arange(replicas)
+    flat = ids.reshape(-1)
+    row_start = np.arange(replicas) * m
     for _ in range(steps):
         i = rng.integers(0, m, replicas)
         j = rng.integers(0, m - 1, replicas)
         j += j >= i
         lo, hi = np.minimum(i, j), np.maximum(i, j)
-        id_a, id_b = ids[rows, lo], ids[rows, hi]
-        tail_index = rng.integers(0, tail_splits[t_size[lo], t_size[hi]])
-        head_index = rng.integers(0, head_splits[h_size[lo], h_size[hi]])
+        # One call for both rows draws what one call per row would.
+        bounds = splits.take(kind_row[lo] + kind[hi], axis=1)
+        tail_index, head_index = rng.integers(0, bounds)
         u = rng.random(replicas) if thin else None
+        at_a, at_b = row_start + lo, row_start + hi
+        id_a, id_b = flat[at_a], flat[at_b]
 
         outcome = looked_up if table is not None else lexsorted
-        new_a, new_b, ok, num, den = outcome(id_a, id_b, tail_index, head_index)
-        accept = ok == 1
+        new_a, new_b, num, den = outcome(id_a, id_b, tail_index, head_index)
 
-        if not spec.allow_multi:
-            for new in (new_a, new_b):
-                # A new arc's copies may sit only where the old arcs were.
-                copies = (ids == new[:, None]).sum(axis=1)
-                accept &= copies == (new == id_a).astype(np.int64) + (new == id_b)
-        if thin:
-            m_a = (ids == id_a[:, None]).sum(axis=1)
-            m_b = (ids == id_b[:, None]).sum(axis=1)
-            pair_count = np.where(id_a == id_b, m_a * (m_a - 1) // 2, m_a * m_b)
-            if (pair_count > (_ALPHA_DEN_LIMIT - 1) // den).any():
-                raise ValueError(
-                    f"an alpha denominator reaches 2**{_RANDOM_BITS}, "
-                    "finer than the thinning draw can resolve"
-                )
-            accept &= ~_alpha_rejects(u, num, pair_count * den)
-
-        moved = np.flatnonzero(accept)
-        ids[moved, lo[moved]] = new_a[moved]
-        ids[moved, hi[moved]] = new_b[moved]
+        if per_row:
+            accept = np.ones(replicas, dtype=bool)
+            if not spec.allow_multi:
+                for new in (new_a, new_b):
+                    # A new arc's copies may sit only where the old arcs were.
+                    copies = (ids == new[:, None]).sum(axis=1)
+                    accept &= copies == (new == id_a).astype(np.int64) + (new == id_b)
+            if thin:
+                m_a = (ids == id_a[:, None]).sum(axis=1)
+                m_b = (ids == id_b[:, None]).sum(axis=1)
+                pair_count = np.where(id_a == id_b, m_a * (m_a - 1) // 2, m_a * m_b)
+                if (pair_count > (_ALPHA_DEN_LIMIT - 1) // den).any():
+                    raise ValueError(
+                        f"an alpha denominator reaches 2**{_RANDOM_BITS}, "
+                        "finer than the thinning draw can resolve"
+                    )
+                accept &= ~_alpha_rejects(u, num, pair_count * den)
+            new_a, new_b = np.where(accept, new_a, id_a), np.where(accept, new_b, id_b)
+        flat[at_a], flat[at_b] = new_a, new_b
         if max(len(arcs), len(cache)) > 2 * replicas * m:
             live, inverse = np.unique(ids, return_inverse=True)
-            ids = inverse.reshape(ids.shape)
+            flat = inverse.reshape(-1)
+            ids = flat.reshape(ids.shape)
             arcs[:] = [arcs[k] for k in live.tolist()]
             index.clear()
             index.update((a, k) for k, a in enumerate(arcs))
@@ -272,7 +290,7 @@ def _outcome_count(H0: DirectedHypergraph) -> int:
 
     A step draws a pair of the ``m`` arc slots, then a tail and a head
     split; ``T`` and ``H`` are the largest tail and head split counts of two
-    slots, the largest entries of :func:`_split_counts`.  0 below two arcs.
+    slots, the largest entries of :func:`_pair_splits`.  0 below two arcs.
     """
     if H0.n_arcs < 2:
         return 0
@@ -287,27 +305,32 @@ def _largest_split_count(sizes: list[int]) -> int:
     return comb(s + t, s)
 
 
-def _split_counts(sizes: np.ndarray) -> np.ndarray:
-    """``C(s + t, s)`` at ``[s, t]`` for the sizes ``s, t`` of any two slots.
+def _pair_splits(H0: DirectedHypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """Each slot's size class, and the split counts of two classes' slots.
 
-    ``ValueError`` at ``2**63`` or more, past the int64 index draw.  Pairs
-    of sizes that no two slots have are 0, so the largest entry is
-    :func:`_largest_split_count`, the largest count a step draws.
+    Slots of equal (tail size, head size) share a class.  ``splits[:, a, b]``
+    holds ``C(s + t, s)`` for the tail sizes ``s, t`` of classes ``a`` and
+    ``b``, then the same for their head sizes: what a slot of class ``a``
+    and one of class ``b`` pool to.  Pairs that no two slots make are 0, so
+    ``splits[0].max()`` and ``splits[1].max()`` are the largest tail and
+    head counts, :func:`_largest_split_count`.  ``ValueError`` at ``2**63``
+    or more, past the int64 index draw.
     """
     import numpy as np
 
-    sizes = sizes.tolist()
-    largest = _largest_split_count(sizes)
-    if largest >= _INDEX_LIMIT:
-        raise ValueError(
-            f"a {sum(sorted(sizes)[-2:])}-stub pool has {largest} splits, "
-            "past the 2**63 the replica engine's index draw covers"
-        )
-    s = max(sizes)
+    sizes = [(len(t), len(h)) for t, h in H0.arcs]
+    for side in zip(*sizes):
+        largest = _largest_split_count(list(side))
+        if largest >= _INDEX_LIMIT:
+            raise ValueError(
+                f"a {sum(sorted(side)[-2:])}-stub pool has {largest} splits, "
+                "past the 2**63 the replica engine's index draw covers"
+            )
     slots = Counter(sizes)
-    table = np.zeros((s + 1, s + 1), dtype=np.int64)
-    for a in slots:
-        for b in slots:
-            if a != b or slots[a] > 1:
-                table[a, b] = comb(a + b, a)
-    return table
+    classes = {size: k for k, size in enumerate(slots)}
+    splits = np.zeros((2, len(classes), len(classes)), dtype=np.int64)
+    for (t_a, h_a), a in classes.items():
+        for (t_b, h_b), b in classes.items():
+            if a != b or slots[t_a, h_a] > 1:
+                splits[:, a, b] = comb(t_a + t_b, t_a), comb(h_a + h_b, h_a)
+    return np.array([classes[size] for size in sizes]), splits

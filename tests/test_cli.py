@@ -23,7 +23,7 @@ from hypershuffle import (
 )
 from hypershuffle import chains, cli, replicas, shuffle
 from hypershuffle.cli import main
-from hypershuffle.replicas import _outcome_count, _split_counts
+from hypershuffle.replicas import _outcome_count, _pair_splits
 from conftest import D1_BLOCKED, random_instance, src_env
 
 FIG_INSTANCE = """\
@@ -417,13 +417,10 @@ class TestRouting:
         assert cli._use_replicas(fig, samples, 0, "r.json")
 
     def test_outcome_count_is_the_engine_largest_split_counts(self):
-        import numpy as np
-
         rng = random.Random(913)
         for _ in range(300):
             H = random_instance(rng, max_vertices=5, max_arcs=6, max_side=5)
-            tails = _split_counts(np.array([len(t) for t, _ in H.arcs])).max()
-            heads = _split_counts(np.array([len(h) for _, h in H.arcs])).max()
+            tails, heads = _pair_splits(H)[1].max(axis=(1, 2))
             outcomes = comb(H.n_arcs, 2) * int(tails) * int(heads)
             assert _outcome_count(H) == outcomes
             floor = max(self.floor, outcomes)

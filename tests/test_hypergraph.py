@@ -3,6 +3,7 @@
 import random
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 
 from hypershuffle import (
@@ -225,6 +226,15 @@ class TestCanonicalForm:
         assert H_bool == H_int
         assert canonical_form(H_bool) == canonical_form(H_int) == b"2|1>0"
 
+    @pytest.mark.parametrize("vertex", [np.int64(1), True], ids=["int64", "bool"])
+    def test_integer_like_vertex_accepted_as_int(self, vertex):
+        H = hypergraph(np.int64(3), [((vertex,), (0,))])
+        assert H.arcs == (((1,), (0,)),)
+        assert all(type(v) is int for arc in H.arcs for side in arc for v in side)
+        assert type(H.n_vertices) is int
+        assert canonical_form(H) == b"3|1>0"
+        assert degree_sequence(H) == degree_sequence(hypergraph(3, [((1,), (0,))]))
+
 
 class TestValidation:
     def test_empty_tail_rejected(self):
@@ -234,6 +244,19 @@ class TestValidation:
     def test_unknown_vertex_rejected(self):
         with pytest.raises(HypergraphError):
             hypergraph(2, [((0,), (5,))])
+
+    # 1.5 once passed the range check and rendered like vertex 1; a string
+    # raised a bare TypeError.
+    @pytest.mark.parametrize("vertex", [1.5, "a"], ids=["float", "str"])
+    def test_non_integer_vertex_rejected(self, vertex):
+        for arcs in ([((vertex,), (0,))], [((0,), (vertex, 0))]):
+            with pytest.raises(HypergraphError, match="not an integer"):
+                hypergraph(3, arcs)
+
+    @pytest.mark.parametrize("n", [3.0, "3"])
+    def test_non_integer_vertex_count_rejected(self, n):
+        with pytest.raises(HypergraphError, match="vertex count .* is not an integer"):
+            hypergraph(n, [((0,), (1,))])
 
     def test_labels_length_checked(self):
         with pytest.raises(HypergraphError):

@@ -3,7 +3,8 @@
 import hashlib
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -109,6 +110,17 @@ class TestSingleStepAgreement:
         g = build_stub_chain(FIG_DEGREES, spec)
         expected = lumped_class_row(g, 3, canonical_form(H0))
         counts = sample_replicas(H0, spec, steps=1, replicas=150_000, seed=904)
+        assert set(counts) <= set(expected)
+        stat, p = chi2_against(counts, expected)
+        assert p > 0.01
+
+    def test_no_multi_stub_single_steps(self):
+        # Stub labeling without multi-arcs: the per-row copy check alone
+        # refuses a step that would double an arc.
+        spec = SpaceSpec.from_string("sd")
+        H0 = enumerate_vertex_space(FIG_DEGREES, spec)[0]
+        expected = lumped_class_row(build_stub_chain(FIG_DEGREES, spec), 3, canonical_form(H0))
+        counts = sample_replicas(H0, spec, steps=1, replicas=150_000, seed=908)
         assert set(counts) <= set(expected)
         stat, p = chi2_against(counts, expected)
         assert p > 0.01
@@ -435,3 +447,74 @@ class TestOutcomeTable:
         d = degree_sequence(H)
         for row in rows:
             assert in_space(H.replace_arcs([arcs[k] for k in row]), SDM, d)
+
+
+class TestDrawStream:
+    def test_class_pair_table_gives_every_slot_pair_its_split_counts(self):
+        rng = random.Random(932)
+        for _ in range(200):
+            H = random_instance(rng, max_vertices=5, max_arcs=7, max_side=4)
+            kind, splits = engine._pair_splits(H)
+            sizes = [(len(t), len(h)) for t, h in H.arcs]
+            for x, y in permutations(range(H.n_arcs), 2):
+                (t_x, h_x), (t_y, h_y) = sizes[x], sizes[y]
+                expected = [comb(t_x + t_y, t_x), comb(h_x + h_y, h_x)]
+                assert splits[:, kind[x], kind[y]].tolist() == expected
+
+    # ``_run_replicas`` draws a step's tail-split and head-split indices in
+    # one ``Generator.integers`` call over a (2, R) bound array, relying on
+    # numpy to deal bounded integers one element at a time in C order.
+    def test_one_call_over_two_rows_draws_what_two_calls_would(self):
+        rng = random.Random(930)
+        highs = {"small": 20, "32-bit": 1 << 32, "64-bit": (1 << 63) - 1}
+        for replicas in range(1, 301):
+            for kind, high in highs.items():
+                seed = rng.randrange(1 << 32)
+                joint, split = np.random.default_rng(seed), np.random.default_rng(seed)
+                for step in range(2):
+                    bounds = np.array(
+                        [[rng.randint(1, high) for _ in range(replicas)] for _ in range(2)],
+                        dtype=np.int64,
+                    )
+                    drawn = joint.integers(0, bounds)
+                    rows = [split.integers(0, bounds[0]), split.integers(0, bounds[1])]
+                    assert np.array_equal(drawn, rows), (
+                        f"numpy {np.__version__}: one integers call over a (2, {replicas}) "
+                        f"bound array ({kind} bounds, step {step}) no longer draws what one "
+                        "call per row does; replicas._run_replicas draws both split "
+                        "indices that way, so its stream and every pinned digest change"
+                    )
+                    assert np.array_equal(joint.random(replicas), split.random(replicas))
+
+    # Stub labeling draws i, j and both split indices; vertex labeling adds
+    # the thinning uniform.
+    @pytest.mark.parametrize("bound", [LEXSORT_ONLY, TABLE_ALWAYS], ids=["lexsort", "table"])
+    @pytest.mark.parametrize(
+        "labeling, per_step", [("stub", {"integers": 3}), ("vertex", {"integers": 3, "random": 1})]
+    )
+    def test_draw_calls_per_step(self, monkeypatch, bound, labeling, per_step):
+        spec = SpaceSpec.from_string("sdm", labeling)
+        args = (enumerate_vertex_space(FIG_DEGREES, SDM)[0], spec, 25, 200, 931)
+        default_rng, generators = np.random.default_rng, []
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng, self.calls = default_rng(seed), Counter()
+                generators.append(self)
+
+            def integers(self, *a, **k):
+                self.calls["integers"] += 1
+                return self.rng.integers(*a, **k)
+
+            def random(self, *a, **k):
+                self.calls["random"] += 1
+                return self.rng.random(*a, **k)
+
+        monkeypatch.setattr(engine, "_TABLE_PER_REPLICA", bound[0])
+        monkeypatch.setattr(engine, "_TABLE_FLOOR", bound[1])
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        ids, arcs = engine._run_replicas(*args)
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        assert [g.calls for g in generators] == [{k: 25 * n for k, n in per_step.items()}]
+        again, again_arcs = engine._run_replicas(*args)
+        assert np.array_equal(ids, again) and arcs == again_arcs
