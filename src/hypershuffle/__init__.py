@@ -72,11 +72,9 @@ _PUBLIC = {
     ),
     "replicas": ("sample_replicas",),
     "validation": (
-        "CounterexampleReport",
         "SampleOutsideSpaceError",
         "UniformityReport",
         "check_sm_equivalence",
-        "counterexample_suite",
         "map_to_bipartite",
         "uniformity_test",
     ),

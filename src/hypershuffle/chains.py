@@ -665,27 +665,3 @@ def tv_curve_csv(curve: Sequence[float]) -> str:
     lines += [f"{t},{value:.17g}" for t, value in enumerate(curve)]
     return "\n".join(lines) + "\n"
 
-
-def with_perturbed_entry(
-    g: ChainGraph, i: int, j: int, eps: Fraction
-) -> ChainGraph:
-    """Negative-control copy: move ``eps`` mass from P[i][j] to P[i][i].
-
-    Keeps the row stochastic while breaking symmetry and the column sums.
-    """
-    n = g.n_states
-    if i not in range(n) or j not in range(n):
-        raise ValueError(f"entry ({i}, {j}) is not in the chain's {n} states")
-    if i == j:
-        raise ValueError("perturb an off-diagonal entry")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    den = lcm(g.denominator, eps.denominator)
-    rows = [{k: p * (den // g.denominator) for k, p in row.items()}
-            for row in g.numerators]
-    shift = int(eps * den)
-    if rows[i].get(j, 0) < shift:
-        raise ValueError("entry too small to perturb by eps")
-    rows[i][j] -= shift
-    rows[i][i] = rows[i].get(i, 0) + shift
-    return ChainGraph(g.spec, g.degree, g.states, g.keys, rows, den)

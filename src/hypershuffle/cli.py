@@ -13,7 +13,8 @@ Loading rule: at module level this file imports only the standard library,
 ``__version__`` and :mod:`.hypergraph`.  :func:`build_parser` imports the
 size limits and the ``reproduce`` targets, and each command imports the
 layers it runs, so ``check`` and a scalar ``sample`` never load
-:mod:`.chains`, and numpy loads only where an engine or test needs it.
+:mod:`.chains` or :mod:`.validation`, and numpy loads only where an engine
+or test needs it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .hypergraph import (
     canonical_form,
     classify_features,
     degree_sequence,
-    in_space,
 )
 
 DEFAULT_SEED_ENV = "HYPERSHUFFLE_SEED"
@@ -302,9 +302,8 @@ def cmd_check(args) -> int:
         sys.stderr.write(f"parse error: {exc}\n")
         return 1
     spec = _spec(args)
-    d = degree_sequence(H)
-    ok = in_space(H, spec, d)
     report = classify_features(H, spec.overlap_self_loops)
+    ok = not report.forbidden_by(spec)
     lines = [
         f"vertices {H.n_vertices}",
         f"arcs {H.n_arcs}",

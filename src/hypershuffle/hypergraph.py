@@ -117,12 +117,20 @@ class DegreeSequence:
     This is the quantity conserved by every double hyperarc shuffle.  Vertex
     degrees are positional (vertex labels are fixed); arc degrees are a list
     whose order is an artifact, so use :meth:`compatible_with` to compare.
+    Every degree and size must be an integer, as for the vertices of
+    :class:`DirectedHypergraph`, and is stored as an ``int`` in tuples.
     """
 
     vertex_degrees: tuple[tuple[int, int], ...]
     arc_degrees: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        try:
+            for field in ("vertex_degrees", "arc_degrees"):
+                pairs = tuple((index(a), index(b)) for a, b in getattr(self, field))
+                object.__setattr__(self, field, pairs)
+        except TypeError:
+            raise HypergraphError("degrees and arc sizes must be integers") from None
         if any(d_in < 0 or d_out < 0 for d_in, d_out in self.vertex_degrees):
             raise HypergraphError("in- and out-degrees must be nonnegative")
         out_total = sum(d_out for _, d_out in self.vertex_degrees)

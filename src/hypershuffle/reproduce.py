@@ -4,10 +4,11 @@ Each target re-derives one headline claim by exhaustive enumeration and
 exact chain analysis on desk-scale instances: the enumeration counts of the
 worked example, uniform stationarity on the two unconditionally good
 feature classes, the restricted single-tail-size class, the failure
-catalogue, and the vertex-labeled correction.  Every function returns
-(passed, report lines) so the CLI can stream progress and exit 0/1.
-The targets that build chains import :mod:`.chains` themselves, so listing
-the targets (``hypershuffle --help``) does not load it.
+catalogue, and the vertex-labeled correction.  Every function computes
+the facts it reports and returns (passed, report lines), so the CLI can
+stream progress and exit 0/1.  The targets import :mod:`.chains` and
+:mod:`.validation` themselves, so listing the targets (``hypershuffle
+--help``) loads neither.
 """
 
 from __future__ import annotations
@@ -16,8 +17,13 @@ from collections import Counter
 from typing import Callable
 
 from .enumeration import _project, count_stub_realizations, enumerate_vertex_space
-from .hypergraph import DegreeSequence, SpaceSpec, _canonical_bytes, canonical_form
-from .validation import D1_DEGREES, counterexample_suite
+from .hypergraph import (
+    DegreeSequence,
+    DirectedHypergraph,
+    SpaceSpec,
+    _canonical_bytes,
+    canonical_form,
+)
 
 FIG_DEGREES = DegreeSequence(
     vertex_degrees=((2, 1), (0, 2), (1, 1)),
@@ -47,6 +53,15 @@ SHARED_HEAD_DEGREES = DegreeSequence(
     vertex_degrees=((0, 1), (0, 1), (2, 0), (1, 0), (1, 0)),
     arc_degrees=((1, 2), (1, 2)),
 )
+
+# Three size-2 tails into one head: in [sd] the all-doubled start is
+# frozen, and the spread state is a class it never reaches (thm3).
+D1_DEGREES = DegreeSequence(
+    vertex_degrees=((0, 2), (0, 2), (0, 2), (3, 0)),
+    arc_degrees=((2, 1), (2, 1), (2, 1)),
+)
+D1_BLOCKED_START = DirectedHypergraph(4, (((0, 0), (3,)), ((1, 1), (3,)), ((2, 2), (3,))))
+D1_SPREAD_STATE = DirectedHypergraph(4, (((0, 1), (3,)), ((0, 2), (3,)), ((1, 2), (3,))))
 
 THM1_BATTERY = [
     ("worked-example", FIG_DEGREES),
@@ -204,21 +219,62 @@ def thm2() -> tuple[bool, list[str]]:
 
 
 def thm3() -> tuple[bool, list[str]]:
-    """The failure catalogue: frozen start and digraph reductions."""
-    report = counterexample_suite()
+    """The failure catalogue: frozen start and digraph reductions.
+
+    (a) With self-loops and degenerate arcs allowed but multi-arcs
+    forbidden, the all-doubled start of the three-tail-pair instance is
+    frozen: every shuffle that mixes two tails would create a multi-arc, so
+    no shuffle ever yields a different hypergraph.  On canonical classes
+    that start is an isolated state with unit diagonal; on stub states its
+    realization fiber is closed (head stubs still swap inside it) and the
+    walk is disconnected from the rest of the space.  A control confirms
+    that re-allowing multi-arcs reconnects the instance.  (b) With tail and
+    head sizes all 1 the walk reduces to digraph edge swapping, which
+    disconnects for some degree sequences in every space without
+    self-loops; an exhaustive search over small degree sequences exhibits
+    one per space.
+    """
+    from .chains import (
+        build_stub_chain,
+        build_vertex_chain,
+        check_strongly_connected,
+        class_components,
+    )
+    from .validation import find_digraph_disconnection
+
+    blocked_key = canonical_form(D1_BLOCKED_START)
+    gv = build_vertex_chain(D1_DEGREES, SpaceSpec.from_string("sd", "vertex"))
+    blocked = gv.keys.index(blocked_key)
+    _, comps_v = check_strongly_connected(gv)
+    g = build_stub_chain(D1_DEGREES, SpaceSpec.from_string("sd"))
+    stub_connected, _ = check_strongly_connected(g)
+    fiber = {
+        k
+        for k, state in enumerate(g.states)
+        if _canonical_bytes(D1_DEGREES.n_vertices, map(_project, state)) == blocked_key
+    }
+    frozen = (
+        [blocked] in comps_v
+        and gv.numerators[blocked] == {blocked: gv.denominator}
+        and all(set(g.numerators[k]) <= fiber for k in fiber)
+        and not stub_connected
+        and gv.n_states >= 2
+    )
+    spread = canonical_form(D1_SPREAD_STATE) in gv.keys
+    control = len(class_components(D1_DEGREES, SpaceSpec.from_string("sdm"))[1]) == 1
+    ok = frozen and spread and control
     lines = [
-        f"{'PASS' if report.frozen_start_confirmed else 'FAIL'} "
+        f"{'PASS' if frozen else 'FAIL'} "
         f"[sd] three-tail-pairs: frozen start is an isolated class with unit "
-        f"diagonal ({report.class_space_size} classes, "
-        f"{report.stub_space_size} stub states, stub walk "
-        f"{'disconnected' if report.stub_disconnected else 'connected'})",
-        f"{'PASS' if report.spread_state_present else 'FAIL'} "
-        f"[sd] second state present in the space",
-        f"{'PASS' if report.control_connected else 'FAIL'} "
+        f"diagonal ({gv.n_states} classes, {g.n_states} stub states, stub walk "
+        f"{'connected' if stub_connected else 'disconnected'})",
+        f"{'PASS' if spread else 'FAIL'} [sd] second state present in the space",
+        f"{'PASS' if control else 'FAIL'} "
         f"[sdm] control: allowing multi-arcs reconnects the instance",
     ]
     for features in ("", "d", "m", "dm"):
-        found = report.digraph_disconnections[features]
+        found = find_digraph_disconnection(features)
+        ok &= found["found"]
         if found["found"]:
             lines.append(
                 f"PASS [{features or 'none'}] disconnected edge-swap instance: "
@@ -228,7 +284,7 @@ def thm3() -> tuple[bool, list[str]]:
             )
         else:
             lines.append(f"FAIL [{features or 'none'}] no disconnected instance found")
-    return report.all_confirmed, lines
+    return ok, lines
 
 
 def thm4() -> tuple[bool, list[str]]:
@@ -253,6 +309,7 @@ def thm4() -> tuple[bool, list[str]]:
         check_strongly_connected,
         is_exactly_uniform_stationary,
     )
+    from .validation import stub_pushforward_weights
 
     lines = []
     ok = True
@@ -279,9 +336,9 @@ def thm4() -> tuple[bool, list[str]]:
         fibers: Counter[bytes] = Counter(
             _canonical_bytes(d.n_vertices, map(_project, s)) for s in stub.states
         )
+        keys, weights = stub_pushforward_weights(d, stub_spec)
         pushforward_ok = stub_uniform and all(
-            fibers.get(canonical_form(H), 0) == count_stub_realizations(H)
-            for H in enumerate_vertex_space(d, stub_spec)
+            fibers.get(key, 0) == w for key, w in zip(keys, weights)
         )
 
         good = routes_agree and doubly and aperiodic and connected and uniform and pushforward_ok

@@ -1,12 +1,14 @@
-"""Statistical acceptance tests, the bipartite cross-check, counterexamples.
+"""Statistical acceptance tests, the bipartite cross-check, the digraph search.
 
 The chi-square harness compares sampled canonical forms against the
 enumerated space: in stub mode the expected counts are proportional to each
 class's stub realization count (the pushforward of the uniform stub
 distribution), in vertex mode they are flat over classes.  Thresholds
 (p > 0.01 to pass, p < 1e-4 for negative controls) are artifact choices and
-are recorded in every report.  Only the counterexample searches build
-chains, and they import :mod:`.chains` themselves.
+are recorded in every report.  :func:`find_digraph_disconnection` searches
+small digraph degree sequences for a disconnected walk; it is the one
+function here that reads exact chains, and it imports :mod:`.chains`
+itself.  ``reproduce thm3``, the failure catalogue, prints what it finds.
 """
 
 from __future__ import annotations
@@ -15,15 +17,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .enumeration import _project, count_stub_realizations, enumerate_vertex_space
-from .hypergraph import (
-    DegreeSequence,
-    DirectedHypergraph,
-    Hyperarc,
-    SpaceSpec,
-    _canonical_bytes,
-    canonical_form,
-)
+from .enumeration import count_stub_realizations, enumerate_vertex_space
+from .hypergraph import DegreeSequence, DirectedHypergraph, SpaceSpec, canonical_form
 
 PASS_P = 0.01
 FAIL_P = 1e-4
@@ -192,129 +187,7 @@ def check_sm_equivalence(H: DirectedHypergraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Counterexample suites
-
-D1_DEGREES = DegreeSequence(
-    vertex_degrees=((0, 2), (0, 2), (0, 2), (3, 0)),
-    arc_degrees=((2, 1), (2, 1), (2, 1)),
-)
-
-D1_BLOCKED_START: tuple[Hyperarc, ...] = (
-    ((0, 0), (3,)),
-    ((1, 1), (3,)),
-    ((2, 2), (3,)),
-)
-
-D1_SPREAD_STATE: tuple[Hyperarc, ...] = (
-    ((0, 1), (3,)),
-    ((0, 2), (3,)),
-    ((1, 2), (3,)),
-)
-
-
-@dataclass
-class CounterexampleReport:
-    blocked_class_isolated: bool
-    blocked_row_is_identity: bool
-    blocked_fiber_closed: bool
-    stub_disconnected: bool
-    class_space_size: int
-    stub_space_size: int
-    spread_state_present: bool
-    control_connected: bool
-    digraph_disconnections: dict[str, dict]
-
-    @property
-    def frozen_start_confirmed(self) -> bool:
-        """The frozen start is an isolated class with unit diagonal."""
-        return (
-            self.blocked_class_isolated
-            and self.blocked_row_is_identity
-            and self.blocked_fiber_closed
-            and self.stub_disconnected
-            and self.class_space_size >= 2
-        )
-
-    @property
-    def all_confirmed(self) -> bool:
-        return (
-            self.frozen_start_confirmed
-            and self.spread_state_present
-            and self.control_connected
-            and all(
-                found["found"] for found in self.digraph_disconnections.values()
-            )
-        )
-
-    def to_json(self) -> str:
-        payload = {k: v for k, v in self.__dict__.items()}
-        payload["all_confirmed"] = self.all_confirmed
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def counterexample_suite() -> CounterexampleReport:
-    """Reproduce the known failures of the shuffle walk.
-
-    (a) With self-loops and degenerate arcs allowed but multi-arcs
-    forbidden, the all-doubled start of the three-tail-pair instance is
-    frozen: every shuffle that mixes two tails would create a multi-arc, so
-    no shuffle ever yields a different hypergraph.  On canonical classes
-    that start is an isolated state with unit diagonal; on stub states its
-    realization fiber is closed (head stubs still swap inside it) and the
-    walk is disconnected from the rest of the space.  (b) With tail and
-    head sizes all 1 the walk reduces to digraph edge swapping, which
-    disconnects for some degree sequences in every space without
-    self-loops; an exhaustive search over small degree sequences exhibits
-    one per space.  A control confirms that re-allowing multi-arcs
-    reconnects instance (a).
-    """
-    from .chains import (
-        build_stub_chain,
-        build_vertex_chain,
-        check_strongly_connected,
-        class_components,
-    )
-
-    blocked_key = canonical_form(
-        DirectedHypergraph(D1_DEGREES.n_vertices, D1_BLOCKED_START)
-    )
-    spread_key = canonical_form(
-        DirectedHypergraph(D1_DEGREES.n_vertices, D1_SPREAD_STATE)
-    )
-
-    gv = build_vertex_chain(D1_DEGREES, SpaceSpec.from_string("sd", "vertex"))
-    blocked_idx = gv.keys.index(blocked_key)
-    _, comps_v = check_strongly_connected(gv)
-    blocked_class_isolated = [blocked_idx] in comps_v
-    blocked_row_is_identity = gv.numerators[blocked_idx] == {blocked_idx: gv.denominator}
-
-    g = build_stub_chain(D1_DEGREES, SpaceSpec.from_string("sd"))
-    stub_connected, _ = check_strongly_connected(g)
-    fiber = {
-        k
-        for k, state in enumerate(g.states)
-        if _canonical_bytes(g.degree.n_vertices, map(_project, state)) == blocked_key
-    }
-    blocked_fiber_closed = all(set(g.numerators[k]) <= fiber for k in fiber)
-
-    _, control = class_components(D1_DEGREES, SpaceSpec.from_string("sdm"))
-
-    disconnections = {
-        features: find_digraph_disconnection(features)
-        for features in ("", "d", "m", "dm")
-    }
-
-    return CounterexampleReport(
-        blocked_class_isolated=blocked_class_isolated,
-        blocked_row_is_identity=blocked_row_is_identity,
-        blocked_fiber_closed=blocked_fiber_closed,
-        stub_disconnected=not stub_connected,
-        class_space_size=gv.n_states,
-        stub_space_size=g.n_states,
-        spread_state_present=spread_key in gv.keys,
-        control_connected=len(control) == 1,
-        digraph_disconnections=disconnections,
-    )
+# Digraph edge-swap disconnections
 
 
 def find_digraph_disconnection(

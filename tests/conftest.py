@@ -8,7 +8,8 @@ the stub level, transition matrices are rebuilt by adding one
 common denominator, and targets are judged by ``classify_features``
 instead of the library's feature verdict.  The chain oracles take their
 states from a brute-force product of stub assignments, judged the same way,
-instead of from the library's enumerators.
+instead of from the library's enumerators.  ``with_perturbed_entry`` makes
+the negative controls: a chain with one entry's mass moved to the diagonal.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,7 @@ from hypershuffle import (
     multiset,
     stub_state_to_hypergraph,
 )
-from hypershuffle.chains import _as_vertex, _multiset_splits
+from hypershuffle.chains import ChainGraph, _as_vertex, _multiset_splits
 from hypershuffle.enumeration import _parts, _project, _vertices
 
 # The worked example with five arcs: a self-loop, a degenerate arc and a
@@ -394,6 +395,31 @@ def fraction_lumped_chain(d: DegreeSequence, spec: SpaceSpec):
         clean = {k: v for k, v in row.items() if v}
         assert lumped.setdefault(src, clean) == clean
     return class_keys, [lumped[k] for k in range(len(class_keys))]
+
+
+def with_perturbed_entry(
+    g: ChainGraph, i: int, j: int, eps: Fraction
+) -> ChainGraph:
+    """Negative-control copy: move ``eps`` mass from P[i][j] to P[i][i].
+
+    Keeps the row stochastic while breaking symmetry and the column sums.
+    """
+    n = g.n_states
+    if i not in range(n) or j not in range(n):
+        raise ValueError(f"entry ({i}, {j}) is not in the chain's {n} states")
+    if i == j:
+        raise ValueError("perturb an off-diagonal entry")
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    den = lcm(g.denominator, eps.denominator)
+    rows = [{k: p * (den // g.denominator) for k, p in row.items()}
+            for row in g.numerators]
+    shift = int(eps * den)
+    if rows[i].get(j, 0) < shift:
+        raise ValueError("entry too small to perturb by eps")
+    rows[i][j] -= shift
+    rows[i][i] = rows[i].get(i, 0) + shift
+    return ChainGraph(g.spec, g.degree, g.states, g.keys, rows, den)
 
 
 @pytest.fixture

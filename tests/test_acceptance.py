@@ -45,16 +45,16 @@ from hypershuffle import (
     step,
     stub_state_to_hypergraph,
 )
-from hypershuffle.chains import _multiset_splits, with_perturbed_entry
+from hypershuffle.chains import _multiset_splits
 from hypershuffle.reproduce import (
     FIG_DEGREES,
     THM1_BATTERY,
     THM2_BATTERY,
     THM4_BATTERY,
+    thm3,
 )
 from hypershuffle.shuffle import ShuffleProposal, reverse_proposal
-from hypershuffle.validation import counterexample_suite
-from conftest import random_instance, src_env
+from conftest import random_instance, src_env, with_perturbed_entry
 
 SDM = SpaceSpec.from_string("sdm")
 
@@ -167,27 +167,21 @@ def test_criterion_4_restricted_class_connectivity():
 
 
 def test_criterion_5_counterexamples_and_exit_code():
-    suite = counterexample_suite()
+    # thm3 passes only if every failure it catalogues is reproduced: the
+    # frozen start (isolated class, unit row, closed stub fibre, stub walk
+    # disconnected), the unreached spread state, the [sdm] control, and a
+    # disconnected edge-swap instance in each space without self-loops.
+    passed, lines = thm3()
     proc = subprocess.run(
         [sys.executable, "-m", "hypershuffle.cli", "reproduce", "thm3"],
         capture_output=True,
         text=True,
         env=src_env(),
     )
-    ok = (
-        suite.blocked_class_isolated
-        and suite.blocked_row_is_identity
-        and suite.class_space_size >= 2
-        and suite.stub_disconnected
-        and all(f["found"] for f in suite.digraph_disconnections.values())
-        and proc.returncode == 0
-    )
     report(
         5,
-        ok,
-        f"frozen start isolated (space size {suite.class_space_size}), digraph "
-        f"disconnections found for {sorted(suite.digraph_disconnections)}, "
-        f"reproduce thm3 exit code {proc.returncode}",
+        passed and proc.returncode == 0,
+        "; ".join(lines) + f"; reproduce thm3 exit code {proc.returncode}",
     )
 
 

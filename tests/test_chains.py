@@ -33,7 +33,6 @@ from hypershuffle.chains import (
     chain_edge_list,
     class_components,
     tv_curve_csv,
-    with_perturbed_entry,
 )
 from hypershuffle.enumeration import (
     _allowed,
@@ -51,6 +50,7 @@ from conftest import (
     fraction_stub_chain,
     fraction_vertex_chain,
     random_instance,
+    with_perturbed_entry,
 )
 
 SDM = SpaceSpec.from_string("sdm")
@@ -732,7 +732,7 @@ class TestResultsTable:
                 assert all(sum(row.values()) == g.denominator for row in g.numerators)
 
     def test_no_rows_have_witnesses(self):
-        from hypershuffle.validation import D1_DEGREES as d1
+        from hypershuffle.reproduce import D1_DEGREES as d1
 
         g = build_stub_chain(d1, SpaceSpec.from_string("sd"))
         connected, _ = check_strongly_connected(g)

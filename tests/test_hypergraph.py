@@ -72,6 +72,27 @@ class TestDegreeSequence:
         d2 = DegreeSequence(((1, 1), (1, 1)), ((1, 1), (1, 1)))
         assert d1.compatible_with(d2)
 
+    # A float degree once passed and then broke the enumerator with a bare
+    # TypeError, a float arc size enumerated, and a string raised from ``<``.
+    @pytest.mark.parametrize("bad", [1.0, "a"], ids=["float", "str"])
+    def test_non_integer_degree_or_size_rejected(self, bad):
+        for vertex, arcs in [
+            (((bad, 1), (0, 0)), ((1, 1),)),
+            (((1, 1), (0, bad)), ((1, 1),)),
+            (((1, 1),), ((bad, 1),)),
+            (((1, 1),), ((1, bad),)),
+        ]:
+            with pytest.raises(HypergraphError, match="must be integers"):
+                DegreeSequence(vertex, arcs)
+
+    @pytest.mark.parametrize("one", [np.int64(1), True], ids=["int64", "bool"])
+    def test_integer_like_degree_accepted_as_int(self, one):
+        d = DegreeSequence(((one, one), (0, 0)), [(one, one)])
+        assert d == DegreeSequence(((1, 1), (0, 0)), ((1, 1),))
+        assert all(type(v) is int for pairs in (d.vertex_degrees, d.arc_degrees)
+                   for pair in pairs for v in pair)
+        assert len(enumerate_vertex_space(d, SpaceSpec.from_string("sdm"))) == 1
+
 
 class TestFeatures:
     def test_worked_example_features(self):

@@ -1,4 +1,4 @@
-"""Chi-square harness, bipartite cross-check, counterexample suites."""
+"""Chi-square harness, bipartite cross-check, the digraph disconnection search."""
 
 import json
 import random
@@ -14,7 +14,6 @@ from hypershuffle import (
     canonical_form,
     check_sm_equivalence,
     classify_features,
-    counterexample_suite,
     enumerate_vertex_space,
     hypergraph,
     map_to_bipartite,
@@ -125,19 +124,6 @@ class TestBipartiteMap:
 
 
 class TestCounterexamples:
-    def test_full_suite_confirms(self):
-        report = counterexample_suite()
-        assert report.blocked_class_isolated
-        assert report.blocked_row_is_identity
-        assert report.blocked_fiber_closed
-        assert report.stub_disconnected
-        assert report.class_space_size == 2
-        assert report.spread_state_present
-        assert report.control_connected
-        assert report.all_confirmed
-        payload = json.loads(report.to_json())
-        assert payload["all_confirmed"] is True
-
     def test_digraph_search_rejects_self_loop_spaces(self):
         with pytest.raises(ValueError):
             find_digraph_disconnection("s")
