@@ -85,8 +85,6 @@ class ChainGraph:
 
     def __init__(
         self,
-        spec: SpaceSpec,
-        degree: DegreeSequence,
         states: list,  # StubState in stub mode, DirectedHypergraph in vertex mode
         keys: list[bytes],  # canonical key per state, defines the ordering
         rows: Sequence[IntRow],
@@ -98,8 +96,6 @@ class ChainGraph:
                     f"row {i} sums to {Fraction(sum(row.values()), denominator)}, not 1"
                 )
         common = gcd(denominator, *(p for row in rows for p in row.values()))
-        self.spec = spec
-        self.degree = degree
         self.states = states
         self.keys = keys
         self.numerators = [{j: p // common for j, p in r.items() if p} for r in rows]
@@ -203,7 +199,7 @@ def build_stub_chain(
         row[self_idx] = diagonal
         rows.append(row)
     keys = [repr(s).encode("ascii") for s in states]
-    return ChainGraph(spec, d, list(states), keys, rows, denominator)
+    return ChainGraph(list(states), keys, rows, denominator)
 
 
 # A split of a pooled side: (stubs to arc i, stubs to arc j, and their vertices).
@@ -247,7 +243,7 @@ def build_vertex_chain(
         moves = _class_moves(H.arcs, pairs, class_of, spec, verdicts)
         rows.append(_thinned_row(k, H.arcs, moves, denominator))
     keys = [canonical_form(H) for H in states]
-    return ChainGraph(spec, d, states, keys, rows, denominator)
+    return ChainGraph(states, keys, rows, denominator)
 
 
 def _as_vertex(spec: SpaceSpec) -> SpaceSpec:
@@ -459,7 +455,7 @@ def build_vertex_chain_lumped(
     states = [DirectedHypergraph(n, arcs) for arcs in classes]
     keys = [_canonical_bytes(n, arcs) for arcs in classes]
     rows = [lumped_rows[k] for k in range(len(classes))]
-    return ChainGraph(spec, d, states, keys, rows, denominator)
+    return ChainGraph(states, keys, rows, denominator)
 
 
 def _stub_outcomes(state: StubState, splits: dict[tuple, list[Split]]):

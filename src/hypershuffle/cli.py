@@ -302,7 +302,7 @@ def cmd_check(args) -> int:
         sys.stderr.write(f"parse error: {exc}\n")
         return 1
     spec = _spec(args)
-    report = classify_features(H, spec.overlap_self_loops)
+    report = classify_features(H)
     ok = not report.forbidden_by(spec)
     lines = [
         f"vertices {H.n_vertices}",

@@ -9,6 +9,11 @@ The arc list is positional: the position of an arc in ``arcs`` is its
 identity for the shuffle kernel, which must pick two arc *instances*.  Two
 hypergraphs are equal as vertex-labeled objects iff their arc multisets are
 equal, which is what :func:`canonical_form` captures.
+
+A space fixes a degree sequence and allows or forbids each of three
+features: self-loops (tail equal to head), degenerate arcs (a vertex
+repeated in a tail or head) and multi-arcs (an arc listed twice).  With
+stub or vertex labeling, :class:`SpaceSpec` names one of 16 spaces.
 """
 
 from __future__ import annotations
@@ -61,12 +66,15 @@ class DirectedHypergraph:
         if self.labels is not None and len(self.labels) != self.n_vertices:
             raise HypergraphError("label table length must equal n_vertices")
         normalized = []
-        for k, (tail, head) in enumerate(self.arcs):
+        for k, pair in enumerate(self.arcs):
             try:
+                tail, head = pair
                 tail = multiset(map(index, tail))
                 head = multiset(map(index, head))
-            except TypeError:
-                raise HypergraphError(f"arc {k} has a vertex that is not an integer") from None
+            except (TypeError, ValueError):
+                raise HypergraphError(
+                    f"arc {k} is not a (tail, head) pair, or a vertex is not an integer"
+                ) from None
             if not tail or not head:
                 raise HypergraphError(f"arc {k} has an empty tail or head")
             for v in tail + head:
@@ -106,8 +114,7 @@ def hypergraph(
     labels: Sequence[str] | None = None,
 ) -> DirectedHypergraph:
     """Convenience constructor accepting unsorted tails/heads."""
-    built = tuple((tuple(t), tuple(h)) for t, h in arcs)
-    return DirectedHypergraph(n_vertices, built, tuple(labels) if labels else None)
+    return DirectedHypergraph(n_vertices, arcs, tuple(labels) if labels else None)
 
 
 @dataclass(frozen=True)
@@ -129,8 +136,8 @@ class DegreeSequence:
             for field in ("vertex_degrees", "arc_degrees"):
                 pairs = tuple((index(a), index(b)) for a, b in getattr(self, field))
                 object.__setattr__(self, field, pairs)
-        except TypeError:
-            raise HypergraphError("degrees and arc sizes must be integers") from None
+        except (TypeError, ValueError):
+            raise HypergraphError("degrees and arc sizes must be integers, in pairs") from None
         if any(d_in < 0 or d_out < 0 for d_in, d_out in self.vertex_degrees):
             raise HypergraphError("in- and out-degrees must be nonnegative")
         out_total = sum(d_out for _, d_out in self.vertex_degrees)
@@ -184,38 +191,24 @@ class SpaceSpec:
     """Which features a space admits, plus the labeling convention.
 
     The three booleans pick one of the 8 feature classes; ``labeling``
-    doubles that to the 16 spaces.  ``overlap_self_loops`` switches the
-    self-loop test from strict tail==head equality to a nonempty
-    tail/head intersection (an alternative noted alongside the strict
-    definition; the strict form is the default).
+    doubles that to the 16 spaces.  An arc is a self-loop when its tail
+    equals its head as a multiset (:func:`is_self_loop`).
     """
 
     allow_self_loops: bool
     allow_degenerate: bool
     allow_multi: bool
     labeling: Labeling = "stub"
-    overlap_self_loops: bool = False
 
     @classmethod
-    def from_string(
-        cls,
-        features: str,
-        labeling: Labeling = "stub",
-        overlap_self_loops: bool = False,
-    ) -> "SpaceSpec":
+    def from_string(cls, features: str, labeling: Labeling = "stub") -> "SpaceSpec":
         """Parse a feature subset like ``""``, ``"s"``, ``"sm"`` or ``"sdm"``."""
         extra = set(features) - set("sdm")
         if extra:
             raise ValueError(f"unknown feature letters: {sorted(extra)}")
         if labeling not in ("stub", "vertex"):
             raise ValueError(f"labeling must be 'stub' or 'vertex', got {labeling!r}")
-        return cls(
-            allow_self_loops="s" in features,
-            allow_degenerate="d" in features,
-            allow_multi="m" in features,
-            labeling=labeling,
-            overlap_self_loops=overlap_self_loops,
-        )
+        return cls("s" in features, "d" in features, "m" in features, labeling)
 
     @property
     def feature_string(self) -> str:
@@ -232,10 +225,8 @@ class SpaceSpec:
 ALL_FEATURE_SETS = ("", "s", "d", "m", "sd", "sm", "dm", "sdm")
 
 
-def is_self_loop(a: Hyperarc, overlap: bool = False) -> bool:
+def is_self_loop(a: Hyperarc) -> bool:
     tail, head = a
-    if overlap:
-        return bool(set(tail) & set(head))
     return tail == head
 
 
@@ -256,12 +247,8 @@ def _arc_ok(a: Hyperarc, spec: SpaceSpec) -> bool:
     :func:`classify_features`, the independent reference.
     """
     tail, head = a
-    if not spec.allow_self_loops:
-        if spec.overlap_self_loops:
-            if not set(tail).isdisjoint(head):
-                return False
-        elif tail == head:
-            return False
+    if not spec.allow_self_loops and tail == head:
+        return False
     return spec.allow_degenerate or (
         len(set(tail)) == len(tail) and len(set(head)) == len(head)
     )
@@ -295,13 +282,9 @@ class FeatureReport:
         )
 
 
-def classify_features(
-    H: DirectedHypergraph, overlap_self_loops: bool = False
-) -> FeatureReport:
+def classify_features(H: DirectedHypergraph) -> FeatureReport:
     """Flag self-loops and degenerate arcs, and group identical arcs."""
-    loops = tuple(
-        k for k, a in enumerate(H.arcs) if is_self_loop(a, overlap_self_loops)
-    )
+    loops = tuple(k for k, a in enumerate(H.arcs) if is_self_loop(a))
     degen = tuple(k for k, a in enumerate(H.arcs) if is_degenerate(a))
     groups: dict[Hyperarc, list[int]] = {}
     for k, a in enumerate(H.arcs):

@@ -81,6 +81,7 @@ from .shuffle import (
     ChainConfigError,
     _alpha_outcome,
     _alpha_rejects,
+    _count,
     _outcome_admissible,
     _split_at,
 )
@@ -140,8 +141,7 @@ def _run_replicas(
     """
     import numpy as np
 
-    if steps < 0 or replicas < 0:
-        raise ValueError("steps and replicas must be nonnegative")
+    steps, replicas = _count("steps", steps), _count("replicas", replicas)
     if not _feature_ok(H0.arcs, spec):
         raise ChainConfigError("start state is outside the configured space")
     m = H0.n_arcs

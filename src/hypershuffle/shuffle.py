@@ -370,8 +370,23 @@ class ChainConfig:
     record_trace: bool = False
 
     def __post_init__(self) -> None:
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
+        object.__setattr__(self, "steps", _count("steps", self.steps))
+
+
+def _count(name: str, count) -> int:
+    """``count`` as an ``int``, by ``operator.index``.
+
+    A non-integer or negative count raises ``ValueError`` naming ``name``.
+    """
+    from operator import index
+
+    try:
+        count = index(count)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {count!r}") from None
+    if count < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return count
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,6 @@ class UniformityReport:
     p_value: float
     dof: int
     histogram: dict[str, int]
-    n_samples: int
-    n_cells: int
     pooled_cells: int
     verdict: str
 
@@ -120,8 +118,6 @@ def uniformity_test(
         p_value=float(p),
         dof=dof,
         histogram=histogram,
-        n_samples=n,
-        n_cells=len(space),
         pooled_cells=pooled,
         verdict="pass" if p > PASS_P else "fail",
     )

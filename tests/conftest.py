@@ -277,7 +277,7 @@ def forbidden(n: int, arcs, spec: SpaceSpec, verdicts: dict) -> bool:
     """
     key = tuple(sorted(arcs))
     if key not in verdicts:
-        report = classify_features(DirectedHypergraph(n, key), spec.overlap_self_loops)
+        report = classify_features(DirectedHypergraph(n, key))
         verdicts[key] = report.forbidden_by(spec)
     return verdicts[key]
 
@@ -347,7 +347,7 @@ def fraction_vertex_chain(d: DegreeSequence, spec: SpaceSpec):
                     new_arcs[j] = (tb, hb)
                     target = canonicalize(H.replace_arcs(new_arcs))
                     row[self_idx] += mass * (1 - alpha)
-                    report = classify_features(target, spec.overlap_self_loops)
+                    report = classify_features(target)
                     if not report.forbidden_by(spec):
                         row[index[canonical_form(target)]] += mass * alpha
                     else:
@@ -419,7 +419,7 @@ def with_perturbed_entry(
         raise ValueError("entry too small to perturb by eps")
     rows[i][j] -= shift
     rows[i][i] = rows[i].get(i, 0) + shift
-    return ChainGraph(g.spec, g.degree, g.states, g.keys, rows, den)
+    return ChainGraph(g.states, g.keys, rows, den)
 
 
 @pytest.fixture

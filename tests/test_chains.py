@@ -162,7 +162,7 @@ class TestChainProperties:
         g = build_stub_chain(TWO_ARC_D, SDM)
         rows = [dict(r) for r in g.numerators]
         rows[0][1] += rows[0].pop(0)
-        bad = ChainGraph(g.spec, g.degree, g.states, g.keys, rows, g.denominator)
+        bad = ChainGraph(g.states, g.keys, rows, g.denominator)
         assert not check_aperiodic(bad)
 
     def test_single_state_space(self):
@@ -270,13 +270,12 @@ class TestClassComponents:
     def test_mixed_size_sequences(self, seed):
         d = mixed_degrees(8300 + seed)
         for features in ALL_FEATURE_SETS:
-            for overlap in (False, True):
-                stub = SpaceSpec.from_string(features, "stub", overlap)
-                assert_class_partition(d, stub)
-                # The vertex chain lists the same classes in the same order.
-                vertex = SpaceSpec.from_string(features, "vertex", overlap)
-                _, components = class_components(d, vertex)
-                assert check_strongly_connected(build_vertex_chain(d, vertex))[1] == components
+            stub = SpaceSpec.from_string(features, "stub")
+            assert_class_partition(d, stub)
+            # The vertex chain lists the same classes in the same order.
+            vertex = SpaceSpec.from_string(features, "vertex")
+            _, components = class_components(d, vertex)
+            assert check_strongly_connected(build_vertex_chain(d, vertex))[1] == components
 
     def test_empty_space_has_no_component(self):
         # The one arc these degrees allow is degenerate.
@@ -528,9 +527,8 @@ class TestPairBlocks:
     def test_swapped_slot_sizes_match_oracle(self, seed):
         d = block_degrees(8500 + seed)
         for features in ALL_FEATURE_SETS:
-            for overlap in (False, True):
-                spec = SpaceSpec.from_string(features, "stub", overlap)
-                assert_matches_oracle(build_stub_chain, fraction_stub_chain, d, spec)
+            spec = SpaceSpec.from_string(features, "stub")
+            assert_matches_oracle(build_stub_chain, fraction_stub_chain, d, spec)
 
     @pytest.mark.parametrize("features", ["sdm", ""])
     def test_two_arc_chain_is_one_block(self, features, monkeypatch):
@@ -646,12 +644,11 @@ class TestIntegerRowsMatchFractionOracle:
     def test_random_degree_sequences(self, seed):
         d = small_degrees(8100 + seed)
         for features in ALL_FEATURE_SETS:
-            for overlap in (False, True):
-                stub = SpaceSpec.from_string(features, "stub", overlap)
-                assert_matches_oracle(build_stub_chain, fraction_stub_chain, d, stub)
-                vertex = SpaceSpec.from_string(features, "vertex", overlap)
-                for build, oracle in VERTEX_ROUTES:
-                    assert_matches_oracle(build, oracle, d, vertex)
+            stub = SpaceSpec.from_string(features, "stub")
+            assert_matches_oracle(build_stub_chain, fraction_stub_chain, d, stub)
+            vertex = SpaceSpec.from_string(features, "vertex")
+            for build, oracle in VERTEX_ROUTES:
+                assert_matches_oracle(build, oracle, d, vertex)
 
     # Two arcs of these can coincide, so every space without ``m`` has
     # moves into multi-arcs to reject.
@@ -672,9 +669,7 @@ class TestIntegerRowsMatchFractionOracle:
         for g in (stub_chain, build_vertex_chain(FIG_DEGREES, vertex)):
             for k in (2, 6, 35):
                 rows = [{j: k * p for j, p in row.items()} for row in g.numerators]
-                again = ChainGraph(
-                    g.spec, g.degree, g.states, g.keys, rows, k * g.denominator
-                )
+                again = ChainGraph(g.states, g.keys, rows, k * g.denominator)
                 assert again.numerators == g.numerators
                 assert again.denominator == g.denominator
 
@@ -683,7 +678,7 @@ class TestIntegerRowsMatchFractionOracle:
         rows = [dict(r) for r in g.numerators]
         rows[1][0] += 1
         with pytest.raises(AssertionError, match="row 1 sums to 3/2, not 1"):
-            ChainGraph(g.spec, g.degree, g.states, g.keys, rows, g.denominator)
+            ChainGraph(g.states, g.keys, rows, g.denominator)
 
     def test_empty_space_has_denominator_one(self):
         # The one arc these degrees allow is degenerate.

@@ -37,11 +37,7 @@ SDM = SpaceSpec.from_string("sdm")
 
 BATTERIES = dict(THM1_BATTERY + THM2_BATTERY + THM4_BATTERY)
 
-ALL_SPECS = [
-    SpaceSpec.from_string(features, overlap_self_loops=overlap)
-    for features in ALL_FEATURE_SETS
-    for overlap in (False, True)
-]
+ALL_SPECS = [SpaceSpec.from_string(features) for features in ALL_FEATURE_SETS]
 
 
 def mixed_size_degrees(rng: random.Random, max_stubs: int = 10) -> DegreeSequence:
@@ -142,15 +138,6 @@ class TestVertexSpace:
         )
         with pytest.raises(EnumerationLimitError):
             enumerate_vertex_space(d, SDM, limit=16)
-
-    def test_overlap_self_loop_spec_shrinks_space(self):
-        # The strict no-self-loop figure space keeps arcs like ({a,b},{a}),
-        # which the overlap variant rejects as well.
-        strict = enumerate_vertex_space(FIG_DEGREES, SpaceSpec.from_string("dm"))
-        overlap = enumerate_vertex_space(
-            FIG_DEGREES, SpaceSpec.from_string("dm", overlap_self_loops=True)
-        )
-        assert len(overlap) <= len(strict)
 
 
 class TestStubSpace:

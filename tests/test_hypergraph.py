@@ -1,5 +1,6 @@
 """Core data model: degrees, features, membership, canonical forms."""
 
+import dataclasses
 import random
 from itertools import combinations_with_replacement
 
@@ -85,6 +86,21 @@ class TestDegreeSequence:
             with pytest.raises(HypergraphError, match="must be integers"):
                 DegreeSequence(vertex, arcs)
 
+    # A pair of the wrong length once escaped as a bare ValueError from
+    # tuple unpacking.
+    @pytest.mark.parametrize(
+        "vertex, arcs",
+        [(((1, 2, 3),), ((1, 1),)), (((1, 1),), ((1,),)), (((1, 1),), (1,))],
+        ids=["vertex-triple", "arc-single", "arc-int"],
+    )
+    def test_malformed_pair_rejected(self, vertex, arcs):
+        with pytest.raises(HypergraphError, match="must be integers, in pairs"):
+            DegreeSequence(vertex, arcs)
+
+    def test_pairs_from_any_iterable(self):
+        d = DegreeSequence([[1, 1], (0, 0)], iter([[1, 1]]))
+        assert d == DegreeSequence(((1, 1), (0, 0)), ((1, 1),))
+
     @pytest.mark.parametrize("one", [np.int64(1), True], ids=["int64", "bool"])
     def test_integer_like_degree_accepted_as_int(self, one):
         d = DegreeSequence(((one, one), (0, 0)), [(one, one)])
@@ -111,24 +127,22 @@ class TestFeatures:
         H = hypergraph(2, [((0, 1), (1, 0))])
         assert classify_features(H).self_loops == (0,)
 
-    def test_overlap_mode_flags_partial_overlap(self):
+    def test_partial_overlap_is_not_a_self_loop(self):
         H = hypergraph(3, [((0, 1), (1, 2))])
         assert classify_features(H).self_loops == ()
-        assert classify_features(H, overlap_self_loops=True).self_loops == (0,)
 
     def test_degenerate_tail_or_head(self):
         assert classify_features(hypergraph(2, [((0, 0), (1,))])).degenerate == (0,)
         assert classify_features(hypergraph(2, [((1,), (0, 0))])).degenerate == (0,)
 
     @pytest.mark.parametrize("features", ALL_FEATURE_SETS)
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_arc_ok_is_the_composed_feature_tests(self, features, overlap):
+    def test_arc_ok_is_the_composed_feature_tests(self, features):
         # Every arc with sides of 1-3 tokens over 3 vertices.
         sides = [side for size in (1, 2, 3)
                  for side in combinations_with_replacement(range(3), size)]
-        spec = SpaceSpec.from_string(features, overlap_self_loops=overlap)
+        spec = SpaceSpec.from_string(features)
         for a in ((tail, head) for tail in sides for head in sides):
-            expected = (spec.allow_self_loops or not is_self_loop(a, overlap)) and (
+            expected = (spec.allow_self_loops or not is_self_loop(a)) and (
                 spec.allow_degenerate or not is_degenerate(a)
             )
             assert _arc_ok(a, spec) == expected
@@ -146,15 +160,10 @@ class TestInSpace:
             # Each instance as drawn, and with its first arc doubled: a multi-arc.
             for G in (H, H.replace_arcs(H.arcs + H.arcs[:1])):
                 d = degree_sequence(G)
-                for overlap in (False, True):
-                    report = classify_features(G, overlap)
-                    for features in ALL_FEATURE_SETS:
-                        spec = SpaceSpec.from_string(
-                            features, overlap_self_loops=overlap
-                        )
-                        assert in_space(G, spec, d) == (
-                            not report.forbidden_by(spec)
-                        )
+                report = classify_features(G)
+                for features in ALL_FEATURE_SETS:
+                    spec = SpaceSpec.from_string(features)
+                    assert in_space(G, spec, d) == (not report.forbidden_by(spec))
 
     def test_wrong_degree_sequence_rejected(self):
         H = hypergraph(3, [((0,), (1,)), ((1,), (2,))])
@@ -187,6 +196,19 @@ class TestInSpace:
                 for big in bigger:
                     if ok_small:
                         assert in_space(H, SpaceSpec.from_string(big), d)
+
+    def test_spec_spans_exactly_the_sixteen_spaces(self):
+        # Three feature flags and a labeling: nothing else can tell two
+        # specs apart, and each of the 16 prints differently.
+        fields = [f.name for f in dataclasses.fields(SpaceSpec)]
+        assert fields == ["allow_self_loops", "allow_degenerate", "allow_multi", "labeling"]
+        specs = {
+            SpaceSpec.from_string(features, labeling)
+            for features in ALL_FEATURE_SETS
+            for labeling in ("stub", "vertex")
+        }
+        assert len(specs) == 16
+        assert len({str(spec) for spec in specs}) == 16
 
     def test_sixteen_spaces(self):
         specs = {
@@ -278,6 +300,25 @@ class TestValidation:
     def test_non_integer_vertex_count_rejected(self, n):
         with pytest.raises(HypergraphError, match="vertex count .* is not an integer"):
             hypergraph(n, [((0,), (1,))])
+
+    # An arc that is not a (tail, head) pair once escaped as a bare
+    # ValueError from unpacking, or as a TypeError from the copy that
+    # ``hypergraph`` made before constructing.
+    @pytest.mark.parametrize(
+        "bad", [((0,),), ((0,), (1,), (2,)), (0, 1), 0],
+        ids=["one-side", "three-sides", "int-sides", "int"],
+    )
+    def test_malformed_arc_rejected(self, bad):
+        for build in (lambda: DirectedHypergraph(3, (bad,)), lambda: hypergraph(3, [bad])):
+            with pytest.raises(HypergraphError, match="arc 0 is not a \\(tail, head\\) pair"):
+                build()
+
+    def test_convenience_constructor_builds_the_same_hypergraph(self):
+        arcs = [([2, 0], {1}), ((1,), range(2, 3))]
+        H = DirectedHypergraph(3, (((0, 2), (1,)), ((1,), (2,))))
+        assert hypergraph(3, arcs) == H
+        assert hypergraph(3, iter(arcs)) == H
+        assert hypergraph(3, (a for a in arcs), ["a", "b", "c"]).labels == ("a", "b", "c")
 
     def test_labels_length_checked(self):
         with pytest.raises(HypergraphError):

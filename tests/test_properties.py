@@ -51,15 +51,15 @@ def test_stub_conservation(H):
     assert sum(i for i, _ in d.vertex_degrees) == sum(h for _, h in d.arc_degrees)
 
 
-@given(hypergraphs(), st.booleans())
+@given(hypergraphs())
 @settings(max_examples=300, deadline=None)
-def test_membership_matches_feature_report(H, overlap):
+def test_membership_matches_feature_report(H):
     # Each instance as drawn, and with its first arc doubled: a multi-arc.
     for G in (H, H.replace_arcs(H.arcs + H.arcs[:1])):
         d = degree_sequence(G)
-        report = classify_features(G, overlap)
+        report = classify_features(G)
         for features in FEATURES:
-            spec = SpaceSpec.from_string(features, overlap_self_loops=overlap)
+            spec = SpaceSpec.from_string(features)
             assert in_space(G, spec, d) == (not report.forbidden_by(spec))
 
 

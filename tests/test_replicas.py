@@ -66,25 +66,24 @@ class TestSingleStepAgreement:
         stat, p = chi2_against(counts, expected)
         assert p > 0.01
 
-    # Forbidden features exercise the per-row multi check and overlap
-    # self-loops.  The "dm" starts hold a multi-arc, so alpha's pair
-    # multiplicities exceed 1; picking both copies of the doubled 2-tail
-    # arc takes the comb(m_a, 2) branch.
+    # Forbidden features exercise the per-row multi check and the per-arc
+    # self-loop and degenerate tests.  The "dm" starts hold a multi-arc, so
+    # alpha's pair multiplicities exceed 1; picking both copies of the
+    # doubled 2-tail arc takes the comb(m_a, 2) branch.
     @pytest.mark.parametrize(
-        "degrees, features, overlap, start",
+        "degrees, features, start",
         [
-            (FIG_DEGREES, "sdm", False, 2),
-            (FIG_DEGREES, "", False, 1),
-            (FIG_DEGREES, "s", False, 3),
-            (FIG_DEGREES, "d", False, 1),
-            (FIG_DEGREES, "d", True, 0),
-            (FIG_DEGREES, "dm", False, 3),
-            (degree_sequence(DOUBLED_ARC), "dm", False, 5),
+            (FIG_DEGREES, "sdm", 2),
+            (FIG_DEGREES, "", 1),
+            (FIG_DEGREES, "s", 3),
+            (FIG_DEGREES, "d", 1),
+            (FIG_DEGREES, "dm", 3),
+            (degree_sequence(DOUBLED_ARC), "dm", 5),
         ],
-        ids=["sdm", "none", "s", "d", "d-overlap", "dm-multi", "dm-doubled-arc"],
+        ids=["sdm", "none", "s", "d", "dm-multi", "dm-doubled-arc"],
     )
-    def test_vertex_mode_matches_exact_row(self, degrees, features, overlap, start):
-        spec = SpaceSpec.from_string(features, "vertex", overlap)
+    def test_vertex_mode_matches_exact_row(self, degrees, features, start):
+        spec = SpaceSpec.from_string(features, "vertex")
         g = build_vertex_chain(degrees, spec)
         H0 = g.states[start]
         expected = {
@@ -146,6 +145,23 @@ class TestEngineBasics:
             counts = sample_replicas(start, SDM, steps=5, replicas=0, seed=1)
             # Counter equality ignores zero counts; a zero-count key is a final.
             assert counts == Counter() and len(counts) == 0
+
+    # A float count once failed late with a bare TypeError.
+    @pytest.mark.parametrize(
+        "steps, replicas, name",
+        [(2.0, 2, "steps"), ("2", 2, "steps"), (2, 2.0, "replicas"), (2, None, "replicas")],
+        ids=["float-steps", "str-steps", "float-replicas", "none-replicas"],
+    )
+    def test_non_integer_counts_rejected(self, steps, replicas, name):
+        start = enumerate_vertex_space(FIG_DEGREES, SDM)[0]
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sample_replicas(start, SDM, steps, replicas, 0)
+
+    def test_integer_like_counts_accepted(self):
+        start = enumerate_vertex_space(FIG_DEGREES, SDM)[0]
+        counts = sample_replicas(start, SDM, np.int64(3), np.int64(40), 0)
+        assert counts == sample_replicas(start, SDM, 3, 40, 0)
+        assert sample_replicas(start, SDM, True, True, 0) == sample_replicas(start, SDM, 1, 1, 0)
 
     @pytest.mark.parametrize("steps, replicas", [(-1, 10), (1, -1)])
     def test_negative_counts_rejected(self, steps, replicas):
@@ -369,13 +385,13 @@ def engine_run(monkeypatch, bound, start, spec, steps, replicas, seed):
 
 
 def sweep_cases():
-    """Seeded runs for all 8 feature sets x 2 labelings x 2 self-loop rules."""
+    """Seeded runs, two in each of the 16 spaces (8 feature sets x 2 labelings)."""
     rng = random.Random(920)
     cases = []
     for features in ALL_FEATURE_SETS:
         for labeling in ("stub", "vertex"):
-            for overlap in (False, True):
-                spec = SpaceSpec.from_string(features, labeling, overlap)
+            spec = SpaceSpec.from_string(features, labeling)
+            for _ in range(2):
                 start = random_instance(rng, max_vertices=3, max_arcs=5, max_side=2)
                 while not in_space(start, spec, degree_sequence(start)):
                     start = random_instance(rng, max_vertices=3, max_arcs=5, max_side=2)

@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, sqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -274,6 +275,21 @@ class TestStepAndChain:
         with pytest.raises(ValueError):
             ChainConfig(steps=-1, seed=0, spec=SDM)
 
+    # A float was accepted and then failed inside ``range``; a string
+    # raised a bare TypeError from ``<``.
+    @pytest.mark.parametrize("steps", [1.5, "3", None], ids=["float", "str", "none"])
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            ChainConfig(steps=steps, seed=0, spec=SDM)
+
+    @pytest.mark.parametrize("steps", [np.int64(7), True], ids=["int64", "bool"])
+    def test_integer_like_steps_accepted(self, steps):
+        config = ChainConfig(steps=steps, seed=5, spec=SDM)
+        assert type(config.steps) is int
+        run = run_chain(WORKED_EXAMPLE, config)
+        same = run_chain(WORKED_EXAMPLE, ChainConfig(steps=int(steps), seed=5, spec=SDM))
+        assert run.final == same.final
+
     def test_vertex_mode_rejection_keeps_state(self):
         # Force alpha rejection by conditioning on a seed that rejects.
         H = hypergraph(3, [((0, 1), (2,)), ((0, 1), (2,))])
@@ -361,67 +377,47 @@ PIN_INSTANCES = {
     "forty": _forty_arc_instance(),
 }
 
-# (instance, features, labeling, overlap self-loops, steps, seed, digest)
+# (instance, features, labeling, steps, seed, digest)
 TRACE_PINS = [
-    ("readme", "d", "stub", False, 300, 2024,
+    ("readme", "d", "stub", 300, 2024,
      "d666aedd00567b0e47d2e023a3bf1cc09ea088d71e355ab02fd219d4cd5d9e99"),
-    ("readme", "d", "stub", True, 300, 2024,
-     "8d60ef21e03792d534637c8957605ccbc05f26bb194510f55e54276185637c12"),
-    ("readme", "d", "vertex", False, 300, 2024,
+    ("readme", "d", "vertex", 300, 2024,
      "a9c2aa7abd1608b5ba444e4085b184e3ffd5b4345560dfdb370e389fc7a70ec1"),
-    ("readme", "d", "vertex", True, 300, 2024,
-     "6929176a9276e87090115fa99ad9db5eaaf3a3f033a990a999aeb43910c17160"),
-    ("readme", "sd", "stub", False, 300, 2024,
+    ("readme", "sd", "stub", 300, 2024,
      "5049e163882c6db7d24250150b102e82bdc37e639ec1f280eb0ffbb1d4f350e5"),
-    ("readme", "sd", "stub", True, 300, 2024,
-     "5049e163882c6db7d24250150b102e82bdc37e639ec1f280eb0ffbb1d4f350e5"),
-    ("readme", "sd", "vertex", False, 300, 2024,
+    ("readme", "sd", "vertex", 300, 2024,
      "4795d942a62d8303607911d0ea7e0c30bc9a929d935e0f18a177962e4b511790"),
-    ("readme", "sd", "vertex", True, 300, 2024,
-     "4795d942a62d8303607911d0ea7e0c30bc9a929d935e0f18a177962e4b511790"),
-    ("readme", "dm", "stub", False, 300, 2024,
+    ("readme", "dm", "stub", 300, 2024,
      "230d1078b76f418ad2bb8f38fcbec31547e34857bd67978bfdd2f5ecf3e704c2"),
-    ("readme", "dm", "stub", True, 300, 2024,
-     "8d60ef21e03792d534637c8957605ccbc05f26bb194510f55e54276185637c12"),
-    ("readme", "dm", "vertex", False, 300, 2024,
+    ("readme", "dm", "vertex", 300, 2024,
      "ad86ee107f97fa385e3409232b5fd00cb385d621e2f83fd443e696f276a28fef"),
-    ("readme", "dm", "vertex", True, 300, 2024,
-     "6929176a9276e87090115fa99ad9db5eaaf3a3f033a990a999aeb43910c17160"),
-    ("readme", "sdm", "stub", False, 300, 2024,
+    ("readme", "sdm", "stub", 300, 2024,
      "b319df72e0a7e957612860adb715236244ac613f92c9b0286e97ca005ec60a1b"),
-    ("readme", "sdm", "stub", True, 300, 2024,
-     "b319df72e0a7e957612860adb715236244ac613f92c9b0286e97ca005ec60a1b"),
-    ("readme", "sdm", "vertex", False, 300, 2024,
+    ("readme", "sdm", "vertex", 300, 2024,
      "14a792c7f26364f80c1978e7ead1535555f08b5d0bef7ec2117b9e2a02a5b15d"),
-    ("readme", "sdm", "vertex", True, 300, 2024,
-     "14a792c7f26364f80c1978e7ead1535555f08b5d0bef7ec2117b9e2a02a5b15d"),
-    ("worked", "sdm", "stub", False, 300, 2025,
+    ("worked", "sdm", "stub", 300, 2025,
      "362ec7d19ffe1eb2effb6c6625fbe673a5f7794e696235ebc9b826b896a038da"),
-    ("worked", "sdm", "stub", True, 300, 2025,
-     "362ec7d19ffe1eb2effb6c6625fbe673a5f7794e696235ebc9b826b896a038da"),
-    ("worked", "sdm", "vertex", False, 300, 2025,
+    ("worked", "sdm", "vertex", 300, 2025,
      "e7872fcc3ab215c179faa5a99f5d803afb070cc8fc4716ca625b4f7108b5b0f2"),
-    ("worked", "sdm", "vertex", True, 300, 2025,
-     "e7872fcc3ab215c179faa5a99f5d803afb070cc8fc4716ca625b4f7108b5b0f2"),
-    ("forty", "", "stub", False, 400, 2026,
+    ("forty", "", "stub", 400, 2026,
      "9d2c3cfba694c482e176d31dff27f0a7c273806d89840f887a851a76be6ed92b"),
-    ("forty", "", "vertex", False, 400, 2026,
+    ("forty", "", "vertex", 400, 2026,
      "b025a75797bba532774778a2bd6d541e7d04d27aea44d938bb3f7d41e1fc10a6"),
-    ("forty", "sdm", "stub", False, 400, 2026,
+    ("forty", "sdm", "stub", 400, 2026,
      "9f34d5235042e5fe39b16dd7322e50f22608bda3beade8b72b91a89120ec3c40"),
-    ("forty", "sdm", "vertex", False, 400, 2026,
+    ("forty", "sdm", "vertex", 400, 2026,
      "09c1c14ede3d703a257df928258445a4a3221b91ed1ae5180778c10fce74e674"),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,features,labeling,overlap,steps,seed,digest",
+    "name,features,labeling,steps,seed,digest",
     TRACE_PINS,
-    ids=[f"{p[0]}-{p[1] or 'none'}-{p[2]}-{'overlap' if p[3] else 'strict'}"
-         for p in TRACE_PINS],
+    # "strict": the self-loop rule every space uses, a tail equal to its head.
+    ids=[f"{p[0]}-{p[1] or 'none'}-{p[2]}-strict" for p in TRACE_PINS],
 )
-def test_fixed_seed_trace_pins(name, features, labeling, overlap, steps, seed, digest):
-    spec = SpaceSpec.from_string(features, labeling, overlap)
+def test_fixed_seed_trace_pins(name, features, labeling, steps, seed, digest):
+    spec = SpaceSpec.from_string(features, labeling)
     config = ChainConfig(steps=steps, seed=seed, spec=spec, record_trace=True)
     trace = run_chain(PIN_INSTANCES[name], config).trace
     assert len(trace) == steps + 1
@@ -489,8 +485,7 @@ def _chain_starts(draw):
     side = st.lists(vertex, min_size=1, max_size=3)
     arcs = draw(st.lists(st.tuples(side, side), min_size=2, max_size=6))
     H = hypergraph(n, arcs)
-    overlap = draw(st.booleans())
-    report = classify_features(H, overlap)
+    report = classify_features(H)
     required = (
         ("s" if report.has_self_loop else "")
         + ("d" if report.has_degenerate else "")
@@ -499,7 +494,7 @@ def _chain_starts(draw):
     extra = draw(st.sampled_from(ALL_FEATURE_SETS))
     features = "".join(f for f in "sdm" if f in required or f in extra)
     labeling = draw(st.sampled_from(("stub", "vertex")))
-    return H, SpaceSpec.from_string(features, labeling, overlap)
+    return H, SpaceSpec.from_string(features, labeling)
 
 
 @given(_chain_starts(), st.integers(0, 2**32 - 1), st.integers(0, 30))
