@@ -24,7 +24,11 @@ writing it changes nothing.  What depends on a replica's other arcs,
 copies of a new arc among the ``m - 2`` that stay and alpha's pair
 multiplicities, is compared per row as in ``_admissible`` and
 ``_alpha_terms``, and ``_alpha_rejects`` thins elementwise; a replica that
-fails keeps its old ids.  Rows are read and written through their flat
+fails keeps its old ids.  Multiplicities are counted only where multi-arcs
+are allowed.  Elsewhere the start repeats no arc and the copies check
+writes a new arc only where the replaced ones were, so no row repeats an
+id and alpha's pair count ``m_a * m_b`` is 1.  A step thus scans its rows
+at most twice in every space.  Rows are read and written through their flat
 view, at ``r * m + slot``.  Finals are tallied with ``np.unique`` over
 sorted rows; ``_run_replicas`` returns the rows themselves, from which
 ``hypershuffle sample`` builds the samples.
@@ -115,7 +119,7 @@ def sample_replicas(
     if replicas == 0:
         return Counter()
     if H0.n_arcs < 2 or steps == 0:
-        return Counter({canonical_form(H0): replicas})
+        return Counter({canonical_form(H0): len(ids)})
     finals, counts = np.unique(np.sort(ids, axis=1), axis=0, return_counts=True)
     return Counter(
         {
@@ -159,30 +163,35 @@ def _run_replicas(
     thin = spec.labeling == "vertex"
     # Only the multi-arc check and alpha's pair multiplicities read a
     # replica's other arcs; without them every outcome is written as drawn.
+    # Multiplicities are counted only where multi-arcs are allowed: the start
+    # repeats no arc otherwise, and the copies check writes a new arc only
+    # where the replaced ones were, so no row ever repeats an id.
     per_row = thin or not spec.allow_multi
     cache: dict[tuple[int, ...], tuple] = {}
     table: np.ndarray | None = None
     capacity = 0
 
-    def intern(arc) -> int:
-        if arc not in index:
-            index[arc] = len(arcs)
-            arcs.append(arc)
-        return index[arc]
-
     def evaluate(key) -> tuple:
-        a, b = arcs[key[0]], arcs[key[1]]
-        tail_a, tail_b, tail_ways = _split_at(sorted(a[0] + b[0]), len(a[0]), key[2])
-        head_a, head_b, head_ways = _split_at(sorted(a[1] + b[1]), len(a[1]), key[3])
+        id_a, id_b, tail_index, head_index = key
+        a, b = arcs[id_a], arcs[id_b]
+        tail_a, tail_b, tail_ways = _split_at(sorted(a[0] + b[0]), len(a[0]), tail_index)
+        head_a, head_b, head_ways = _split_at(sorted(a[1] + b[1]), len(a[1]), head_index)
         arc_a, arc_b = (tail_a, head_a), (tail_b, head_b)
         weight = tail_ways * head_ways
         num, den = _alpha_outcome(a, b, arc_a, arc_b, weight) if thin else (1, 1)
-        new = intern(arc_a), intern(arc_b)
-        if not _outcome_admissible(arc_a, arc_b, spec):
-            new = key[:2]  # a refused outcome keeps the arcs it drew
-        # den is capped to fit int64; a capped den fails the per-row limit.
-        cache[key] = (*new, num, min(den, _ALPHA_DEN_LIMIT))
-        return cache[key]
+        # Intern arc_a, then arc_b: a new arc takes the next id.
+        new_a = index.setdefault(arc_a, len(arcs))
+        if new_a == len(arcs):
+            arcs.append(arc_a)
+        new_b = index.setdefault(arc_b, len(arcs))
+        if new_b == len(arcs):
+            arcs.append(arc_b)
+        if _outcome_admissible(arc_a, arc_b, spec):
+            id_a, id_b = new_a, new_b
+        # A refused outcome keeps the ids it drew.  den is capped to fit
+        # int64; a capped den fails the per-row limit.
+        cache[key] = outcome = (id_a, id_b, num, min(den, _ALPHA_DEN_LIMIT))
+        return outcome
 
     def pack(id_a, id_b, tail_index, head_index):
         return ((head_index * tails + tail_index) * capacity + id_b) * capacity + id_a
@@ -222,7 +231,7 @@ def _run_replicas(
                 rebuild()
         return columns
 
-    def lexsorted(id_a, id_b, tail_index, head_index) -> list[np.ndarray]:
+    def lexsorted(id_a, id_b, tail_index, head_index) -> np.ndarray:
         keys = np.stack([id_a, id_b, tail_index, head_index])
         order = np.lexsort(keys)
         ordered = keys[:, order]
@@ -232,7 +241,7 @@ def _run_replicas(
         group[order] = np.cumsum(first) - 1
         distinct = zip(*ordered[:, first].tolist())
         outcomes = [cache.get(key) or evaluate(key) for key in distinct]
-        return [np.array(c)[group] for c in zip(*outcomes)]
+        return np.array(outcomes, dtype=np.int64).T.take(group, axis=1)
 
     rebuild()
     rng = np.random.default_rng(seed)
@@ -261,9 +270,11 @@ def _run_replicas(
                     copies = (ids == new[:, None]).sum(axis=1)
                     accept &= copies == (new == id_a).astype(np.int64) + (new == id_b)
             if thin:
-                m_a = (ids == id_a[:, None]).sum(axis=1)
-                m_b = (ids == id_b[:, None]).sum(axis=1)
-                pair_count = np.where(id_a == id_b, m_a * (m_a - 1) // 2, m_a * m_b)
+                pair_count = 1  # without multi-arcs m_a = m_b = 1 (see per_row)
+                if spec.allow_multi:
+                    m_a = (ids == id_a[:, None]).sum(axis=1)
+                    m_b = (ids == id_b[:, None]).sum(axis=1)
+                    pair_count = np.where(id_a == id_b, m_a * (m_a - 1) // 2, m_a * m_b)
                 if (pair_count > (_ALPHA_DEN_LIMIT - 1) // den).any():
                     raise ValueError(
                         f"an alpha denominator reaches 2**{_RANDOM_BITS}, "

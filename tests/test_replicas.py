@@ -25,7 +25,12 @@ from hypershuffle import (
     stub_state_to_hypergraph,
 )
 from hypershuffle.hypergraph import ALL_FEATURE_SETS, _canonical_bytes
-from hypershuffle.shuffle import _split_at
+from hypershuffle.shuffle import (
+    _admissible,
+    _alpha_rejects,
+    _alpha_terms,
+    _split_at,
+)
 from conftest import D1_BLOCKED, FIG_DEGREES, random_instance
 
 SDM = SpaceSpec.from_string("sdm")
@@ -162,6 +167,18 @@ class TestEngineBasics:
         counts = sample_replicas(start, SDM, np.int64(3), np.int64(40), 0)
         assert counts == sample_replicas(start, SDM, 3, 40, 0)
         assert sample_replicas(start, SDM, True, True, 0) == sample_replicas(start, SDM, 1, 1, 0)
+
+    # The count of a run that makes no step once was the caller's object.
+    @pytest.mark.parametrize("replicas", [True, np.int64(3)], ids=["bool", "int64"])
+    @pytest.mark.parametrize("shortcut", ["no-steps", "one-arc"])
+    def test_unstepped_count_is_an_int(self, shortcut, replicas):
+        if shortcut == "no-steps":
+            start, steps = enumerate_vertex_space(FIG_DEGREES, SDM)[0], 0
+        else:
+            start, steps = hypergraph(2, [((0,), (1,))]), 5
+        counts = sample_replicas(start, SDM, steps, replicas, 0)
+        [count] = counts.values()
+        assert type(count) is int and count == replicas
 
     @pytest.mark.parametrize("steps, replicas", [(-1, 10), (1, -1)])
     def test_negative_counts_rejected(self, steps, replicas):
@@ -534,3 +551,79 @@ class TestDrawStream:
         assert [g.calls for g in generators] == [{k: 25 * n for k, n in per_step.items()}]
         again, again_arcs = engine._run_replicas(*args)
         assert np.array_equal(ids, again) and arcs == again_arcs
+
+
+def replay_cases():
+    """Three seeded starts in each of the 16 spaces, for the per-replica replay.
+
+    Every start in a space that allows multi-arcs doubles its first arc, so
+    alpha's pair multiplicities there exceed 1.
+    """
+    rng = random.Random(2540)
+    cases = []
+    for features in ALL_FEATURE_SETS:
+        for labeling in ("stub", "vertex"):
+            spec = SpaceSpec.from_string(features, labeling)
+            for k in range(3):
+                while True:
+                    start = random_instance(rng, max_vertices=5, max_arcs=6, max_side=3)
+                    if spec.allow_multi:
+                        start = hypergraph(start.n_vertices, [start.arcs[0], *start.arcs[:-1]])
+                    if in_space(start, spec, degree_sequence(start)):
+                        break
+                steps, replicas = rng.randint(1, 25), rng.choice([1, 5, 40])
+                case = (start, spec, steps, replicas, rng.randrange(10**6))
+                cases.append(pytest.param(*case, id=f"{features or 'none'}-{labeling}-{k}"))
+    return cases
+
+
+def replayed_rows(start, spec, steps, replicas, seed):
+    """Each replica's slot-ordered arcs, walked alone on the engine's draws.
+
+    The draws are the engine's calls in its order; each replica then takes
+    its move through the scalar kernel's helpers, with multiplicities from
+    ``tuple.count`` on its own arcs.
+    """
+    rng = np.random.default_rng(seed)
+    m = start.n_arcs
+    rows = [list(start.arcs) for _ in range(replicas)]
+    for _ in range(steps):
+        i = rng.integers(0, m, replicas)
+        j = rng.integers(0, m - 1, replicas)
+        j += j >= i
+        lo, hi = np.minimum(i, j).tolist(), np.maximum(i, j).tolist()
+        bounds = [
+            [comb(len(row[x][side]) + len(row[y][side]), len(row[x][side]))
+             for row, x, y in zip(rows, lo, hi)]
+            for side in (0, 1)
+        ]
+        tail_index, head_index = rng.integers(0, np.array(bounds, dtype=np.int64)).tolist()
+        u = rng.random(replicas).tolist() if spec.labeling == "vertex" else None
+        for r, row in enumerate(rows):
+            a, b = row[lo[r]], row[hi[r]]
+            tail_a, tail_b, tail_ways = _split_at(sorted(a[0] + b[0]), len(a[0]), tail_index[r])
+            head_a, head_b, head_ways = _split_at(sorted(a[1] + b[1]), len(a[1]), head_index[r])
+            arc_a, arc_b = (tail_a, head_a), (tail_b, head_b)
+            count = tuple(row).count
+            if not _admissible(a, b, arc_a, arc_b, spec, count):
+                continue
+            weight = tail_ways * head_ways
+            if u is not None and _alpha_rejects(
+                u[r], *_alpha_terms(a, b, arc_a, arc_b, weight, count)
+            ):
+                continue
+            row[lo[r]], row[hi[r]] = arc_a, arc_b
+    return rows
+
+
+class TestPerReplicaReference:
+    @pytest.mark.parametrize("bound", [LEXSORT_ONLY, TABLE_ALWAYS], ids=["lexsort", "table"])
+    @pytest.mark.parametrize("start, spec, steps, replicas, seed", replay_cases())
+    def test_rows_match_a_per_replica_replay(
+        self, monkeypatch, bound, start, spec, steps, replicas, seed
+    ):
+        monkeypatch.setattr(engine, "_TABLE_PER_REPLICA", bound[0])
+        monkeypatch.setattr(engine, "_TABLE_FLOOR", bound[1])
+        ids, arcs = engine._run_replicas(start, spec, steps, replicas, seed)
+        rows = [[arcs[k] for k in row] for row in ids.tolist()]
+        assert rows == replayed_rows(start, spec, steps, replicas, seed)
