@@ -78,9 +78,9 @@ class ChainGraph:
 
     Entry ``(i, j)`` is ``numerators[i][j] / denominator``, and the
     denominator is the least common one: its gcd with every numerator is 1.
-    ``rows`` are integer numerators over ``denominator``; each must sum to
-    it, or the constructor raises ``AssertionError``.  Zero entries are
-    dropped.
+    ``rows`` are nonnegative integer numerators over ``denominator``; each
+    must sum to it, or the constructor raises ``AssertionError``.  Zero
+    entries are dropped, so every stored numerator is positive.
     """
 
     def __init__(
@@ -91,6 +91,9 @@ class ChainGraph:
         denominator: int,
     ) -> None:
         for i, row in enumerate(rows):
+            if min(row.values(), default=0) < 0:
+                j = next(j for j, p in row.items() if p < 0)
+                raise AssertionError(f"row {i} has a negative entry in column {j}")
             if sum(row.values()) != denominator:
                 raise AssertionError(
                     f"row {i} sums to {Fraction(sum(row.values()), denominator)}, not 1"
@@ -497,11 +500,12 @@ def check_regular(g: ChainGraph) -> tuple[bool, tuple[int, int] | None]:
 
 def check_doubly_stochastic(g: ChainGraph) -> tuple[bool, int | None]:
     """Columns all sum to exactly 1 (rows always do); else a witness column."""
-    totals: Counter[int] = Counter()
+    totals = [0] * g.n_states
     for row in g.numerators:
-        totals.update(row)
-    for j in range(g.n_states):
-        if totals[j] != g.denominator:
+        for j, p in row.items():
+            totals[j] += p
+    for j, total in enumerate(totals):
+        if total != g.denominator:
             return False, j
     return True, None
 
@@ -514,11 +518,13 @@ def check_aperiodic(g: ChainGraph) -> bool:
 def check_strongly_connected(g: ChainGraph) -> tuple[bool, list[list[int]]]:
     """Strong connectivity over edges with positive probability.
 
-    Returns the verdict and the partition into strongly connected
-    components (each sorted, components ordered by smallest member).
+    Every stored entry is positive (:class:`ChainGraph`), so a row's
+    columns are its successors.  Returns the verdict and the partition into
+    strongly connected components (each sorted, components ordered by
+    smallest member).
     """
     n = g.n_states
-    succ = [[j for j, p in row.items() if p > 0] for row in g.numerators]
+    succ = [list(row) for row in g.numerators]
     pred: list[list[int]] = [[] for _ in range(n)]
     for i, out in enumerate(succ):
         for j in out:

@@ -99,11 +99,6 @@ def _open_out(stack: ExitStack, path: str | None):
     return sys.stdout if path is None or path == "-" else _open_file(stack, path)
 
 
-def _emit(text: str, out: str | None) -> None:
-    with ExitStack() as stack:
-        _open_out(stack, out).write(text)
-
-
 def _use_replicas(
     H0: DirectedHypergraph, samples: int, steps: int, report: str | None
 ) -> bool:
@@ -214,16 +209,18 @@ def cmd_enumerate(args) -> int:
     d = degree_sequence(H)
     spec = _spec(args)
     limit = VERTEX_STUB_LIMIT if args.limit is None else args.limit
-    states = enumerate_vertex_space(d, spec, limit=limit)
-    lines = [f"{len(states)}"]
-    if args.verbose:
-        for H_k in states:
-            lines.append(
-                f"# {count_stub_realizations(H_k)} stub realization(s)"
-            )
-            # The classes are unlabeled; print them with the input's names.
-            lines.append(serialize_dhg(H.replace_arcs(H_k.arcs)).rstrip("\n"))
-    _emit("\n".join(lines) + "\n", args.out)
+    with ExitStack() as stack:
+        out = _open_out(stack, args.out)
+        states = enumerate_vertex_space(d, spec, limit=limit)
+        lines = [f"{len(states)}"]
+        if args.verbose:
+            for H_k in states:
+                lines.append(
+                    f"# {count_stub_realizations(H_k)} stub realization(s)"
+                )
+                # The classes are unlabeled; print them with the input's names.
+                lines.append(serialize_dhg(H.replace_arcs(H_k.arcs)).rstrip("\n"))
+        out.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -288,8 +285,10 @@ def cmd_reproduce(args) -> int:
     from .reproduce import TARGETS
 
     target = TARGETS[args.target]
-    passed, lines = target()
-    _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
+    with ExitStack() as stack:
+        out = _open_out(stack, args.out)
+        passed, lines = target()
+        out.write("\n".join(lines) + ("\n" if lines else ""))
     return 0 if passed else 1
 
 
@@ -302,17 +301,19 @@ def cmd_check(args) -> int:
         sys.stderr.write(f"parse error: {exc}\n")
         return 1
     spec = _spec(args)
-    report = classify_features(H)
-    ok = not report.forbidden_by(spec)
-    lines = [
-        f"vertices {H.n_vertices}",
-        f"arcs {H.n_arcs}",
-        f"self-loops {len(report.self_loops)}",
-        f"degenerate {len(report.degenerate)}",
-        f"multi-groups {len(report.multi_groups)}",
-        f"in-space {str(ok).lower()}",
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    with ExitStack() as stack:
+        out = _open_out(stack, args.out)
+        report = classify_features(H)
+        ok = not report.forbidden_by(spec)
+        lines = [
+            f"vertices {H.n_vertices}",
+            f"arcs {H.n_arcs}",
+            f"self-loops {len(report.self_loops)}",
+            f"degenerate {len(report.degenerate)}",
+            f"multi-groups {len(report.multi_groups)}",
+            f"in-space {str(ok).lower()}",
+        ]
+        out.write("\n".join(lines) + "\n")
     return 0 if ok else 1
 
 

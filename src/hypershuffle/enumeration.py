@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 from math import factorial
+from operator import itemgetter
 
 from .hypergraph import (
     DegreeSequence,
@@ -123,7 +124,7 @@ def stub_state_to_hypergraph(state: StubState, n_vertices: int) -> DirectedHyper
 
 def _vertices(stubs: tuple[Stub, ...]) -> Multiset:
     # Stubs are sorted by vertex first, so their vertices come out sorted.
-    return tuple(v for v, _ in stubs)
+    return tuple(map(itemgetter(0), stubs))
 
 
 def _project(a: StubArc) -> Hyperarc:
@@ -224,13 +225,14 @@ def _deal(stubs: tuple[Stub, ...], sizes: list[int], ascending: list[bool]):
 
 
 def _parts(stubs: tuple[Stub, ...], size: int):
-    """Yield (part, rest) for every ``size``-subset of sorted ``stubs``."""
-    for picked in combinations(range(len(stubs)), size):
-        chosen = set(picked)
-        yield (
-            tuple(stubs[t] for t in picked),
-            tuple(stubs[t] for t in range(len(stubs)) if t not in chosen),
-        )
+    """``(part, rest)`` for every ``size``-subset of sorted distinct ``stubs``.
+
+    Parts come in :func:`itertools.combinations` (lexicographic) order.
+    Complementing reverses that order, so the rest of the i-th part is the
+    i-th last subset of the other size.  Needs ``0 <= size <= len(stubs)``.
+    """
+    rests = list(combinations(stubs, len(stubs) - size))
+    return zip(combinations(stubs, size), reversed(rests))
 
 
 def count_stub_realizations(H: DirectedHypergraph) -> int:

@@ -8,8 +8,10 @@ the stub level, transition matrices are rebuilt by adding one
 common denominator, and targets are judged by ``classify_features``
 instead of the library's feature verdict.  The chain oracles take their
 states from a brute-force product of stub assignments, judged the same way,
-instead of from the library's enumerators.  ``with_perturbed_entry`` makes
-the negative controls: a chain with one entry's mass moved to the diagonal.
+instead of from the library's enumerators, and deal each pair's splits with
+the positional ``reference_parts`` instead of ``enumeration._parts``.
+``with_perturbed_entry`` makes the negative controls: a chain with one
+entry's mass moved to the diagonal.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from hypershuffle import (
     stub_state_to_hypergraph,
 )
 from hypershuffle.chains import ChainGraph, _as_vertex, _multiset_splits
-from hypershuffle.enumeration import _parts, _project, _vertices
 
 # The worked example with five arcs: a self-loop, a degenerate arc and a
 # multi pair (vertices a..f mapped to 0..5).
@@ -253,13 +254,40 @@ def brute_classes(d: DegreeSequence, spec: SpaceSpec):
     return keys, [by_key[key] for key in keys]
 
 
+def reference_parts(stubs, size):
+    """Positional reference for ``enumeration._parts``.
+
+    Every ``size``-subset of ``stubs``, picked by index in ``combinations``
+    order, with its complement.
+    """
+    for picked in combinations(range(len(stubs)), size):
+        chosen = set(picked)
+        yield (
+            tuple(stubs[t] for t in picked),
+            tuple(stubs[t] for t in range(len(stubs)) if t not in chosen),
+        )
+
+
+def reference_vertices(stubs):
+    """Reference for ``enumeration._vertices``: the vertex of each stub."""
+    return tuple(v for v, _ in stubs)
+
+
+def reference_project(a):
+    """Reference for ``enumeration._project``: a stub arc's vertex arc."""
+    return reference_vertices(a[0]), reference_vertices(a[1])
+
+
 def _fraction_stub_transitions(arcs):
     """``(i, j, denom, tail_splits, head_splits)`` per arc pair, unmemoised."""
     m = len(arcs)
     for i, j in combinations(range(m), 2):
         (tail_i, head_i), (tail_j, head_j) = arcs[i], arcs[j]
         tail_splits, head_splits = (
-            [(a, b, _vertices(a), _vertices(b)) for a, b in _parts(pool, k)]
+            [
+                (a, b, reference_vertices(a), reference_vertices(b))
+                for a, b in reference_parts(pool, k)
+            ]
             for pool, k in (
                 (tuple(sorted(tail_i + tail_j)), len(tail_i)),
                 (tuple(sorted(head_i + head_j)), len(head_i)),
@@ -290,7 +318,7 @@ def fraction_stub_chain(d: DegreeSequence, spec: SpaceSpec):
     rows = []
     for self_idx, state in enumerate(states):
         arcs = list(state)
-        projected = [_project(a) for a in state]
+        projected = [reference_project(a) for a in state]
         target_proj = list(projected)
         row = defaultdict(Fraction)
         if len(arcs) < 2:
@@ -369,7 +397,7 @@ def fraction_lumped_chain(d: DegreeSequence, spec: SpaceSpec):
     for state, H_proj in zip(stub_states, projections):
         row = defaultdict(Fraction)
         src = class_of[H_proj.arcs]
-        projected = [_project(a) for a in state]
+        projected = [reference_project(a) for a in state]
         target_proj = list(projected)
         H_at = DirectedHypergraph(n, tuple(projected))
         if len(state) < 2:

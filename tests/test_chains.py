@@ -680,6 +680,12 @@ class TestIntegerRowsMatchFractionOracle:
         with pytest.raises(AssertionError, match="row 1 sums to 3/2, not 1"):
             ChainGraph(g.states, g.keys, rows, g.denominator)
 
+    def test_negative_numerator_raises(self):
+        # The row sums to its denominator, so only the sign check sees it.
+        rows = [{0: 2, 1: -1}, {1: 1}]
+        with pytest.raises(AssertionError, match="row 0 has a negative entry in column 1"):
+            ChainGraph(["a", "b"], [b"a", b"b"], rows, 1)
+
     def test_empty_space_has_denominator_one(self):
         # The one arc these degrees allow is degenerate.
         d = DegreeSequence(((0, 2), (1, 0)), ((2, 1),))

@@ -21,7 +21,7 @@ from hypershuffle import (
     serialize_dhg,
     split_dhg_stream,
 )
-from hypershuffle import chains, cli, replicas, shuffle
+from hypershuffle import chains, cli, enumeration, replicas, reproduce, shuffle
 from hypershuffle.cli import main
 from hypershuffle.replicas import _outcome_count, _pair_splits
 from conftest import D1_BLOCKED, random_instance, src_env
@@ -561,4 +561,19 @@ def test_chain_verify_checks_output_paths_first(fig_file, tmp_path, capsys,
     monkeypatch.setattr(chains, "build_stub_chain", refuse)
     code = run_cli("chain-verify", "--input", fig_file, flag, str(tmp_path))
     assert code == 1
+    assert capsys.readouterr().err == is_a_directory(tmp_path)
+
+
+@pytest.mark.parametrize("command", ["enumerate", "reproduce", "check"])
+def test_other_commands_check_output_path_first(fig_file, tmp_path, capsys,
+                                                monkeypatch, command):
+    monkeypatch.setattr(enumeration, "enumerate_vertex_space", refuse)
+    monkeypatch.setitem(reproduce.TARGETS, "thm1", refuse)
+    monkeypatch.setattr(cli, "classify_features", refuse)
+    argv = {
+        "enumerate": ["enumerate", "--input", fig_file],
+        "reproduce": ["reproduce", "thm1"],
+        "check": ["check", "--input", fig_file],
+    }[command]
+    assert run_cli(*argv, "--out", str(tmp_path)) == 1
     assert capsys.readouterr().err == is_a_directory(tmp_path)

@@ -20,7 +20,7 @@ from hypershuffle import (
     run_chain,
     stub_state_to_hypergraph,
 )
-from hypershuffle.enumeration import _project, _stub_states
+from hypershuffle.enumeration import _parts, _stub_states, _vertices
 from hypershuffle.hypergraph import ALL_FEATURE_SETS
 from hypershuffle.reproduce import THM1_BATTERY, THM2_BATTERY, THM4_BATTERY
 from conftest import (
@@ -31,6 +31,9 @@ from conftest import (
     brute_stub_space,
     brute_stub_states,
     random_instance,
+    reference_parts,
+    reference_project,
+    reference_vertices,
 )
 
 SDM = SpaceSpec.from_string("sdm")
@@ -216,7 +219,7 @@ class TestStubSpace:
         assert set(states) == brute_stub_states(d)
         # Each state comes with its own vertex projection, in some arc order.
         for state, projection in dealt:
-            assert sorted(projection) == sorted(map(_project, state))
+            assert sorted(projection) == sorted(map(reference_project, state))
 
     def test_limit_guard(self):
         d = DegreeSequence(
@@ -225,6 +228,31 @@ class TestStubSpace:
         )
         with pytest.raises(EnumerationLimitError):
             enumerate_stub_space(d, SDM)
+
+
+def stub_pools(n_stubs):
+    """Sorted distinct stub pools of ``n_stubs`` stubs: packed and scattered."""
+    rng = random.Random(n_stubs)
+    everything = [(v, k) for v in range(5) for k in range(4)]
+    pools = [tuple((v, 0) for v in range(n_stubs)), tuple(everything[:n_stubs])]
+    pools += [tuple(sorted(rng.sample(everything, n_stubs))) for _ in range(3)]
+    return pools
+
+
+class TestStubPrimitives:
+    """The stub-level helpers agree with the positional references."""
+
+    @pytest.mark.parametrize("n_stubs", range(11))
+    def test_parts_match_the_reference_in_order(self, n_stubs):
+        for pool in stub_pools(n_stubs):
+            for size in range(n_stubs + 1):
+                assert list(_parts(pool, size)) == list(reference_parts(pool, size))
+
+    @pytest.mark.parametrize("n_stubs", range(11))
+    def test_vertices_match_the_reference(self, n_stubs):
+        for pool in stub_pools(n_stubs):
+            assert _vertices(pool) == reference_vertices(pool)
+            assert type(_vertices(pool)) is tuple
 
 
 class TestRealizationCounts:
