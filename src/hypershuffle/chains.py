@@ -25,7 +25,6 @@ refuse it, or the build raises.  The checks compare integers;
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
@@ -51,6 +50,7 @@ from .hypergraph import (
     Hyperarc,
     Multiset,
     SpaceSpec,
+    _Record,
     _canonical_bytes,
     canonical_form,
     multiset,
@@ -250,7 +250,7 @@ def build_vertex_chain(
 
 
 def _as_vertex(spec: SpaceSpec) -> SpaceSpec:
-    return replace(spec, labeling="vertex")
+    return SpaceSpec(spec.allow_self_loops, spec.allow_degenerate, spec.allow_multi, "vertex")
 
 
 def _class_outcomes(arcs: Sequence[Hyperarc], memo: dict[tuple, list]):
@@ -572,12 +572,17 @@ def check_strongly_connected(g: ChainGraph) -> tuple[bool, list[list[int]]]:
     return n_comp == 1, groups
 
 
-@dataclass
-class StationaryResult:
+class StationaryResult(_Record):
     """Either one global distribution or one per closed component."""
 
-    pi: np.ndarray | None
-    components: list[tuple[list[int], np.ndarray]] | None
+    __slots__ = ("pi", "components")
+
+    def __init__(
+        self,
+        pi: np.ndarray | None,
+        components: list[tuple[list[int], np.ndarray]] | None,
+    ) -> None:
+        self._fill(pi, components)
 
     @property
     def is_global(self) -> bool:

@@ -9,8 +9,9 @@ flags; the default seed comes from ``HYPERSHUFFLE_SEED`` when set.
 ``sample`` picks the scalar kernel or the replica engine from its own input
 (:func:`_use_replicas`).  Output paths are opened before any work starts.
 
-Loading rule: at module level this file imports only the standard library,
-``__version__`` and :mod:`.hypergraph`.  :func:`build_parser` imports the
+Loading rule: at module level this file imports only ``__version__``,
+:mod:`.hypergraph` and the standard library modules every command needs
+(``json`` loads only for a ``--report``).  :func:`build_parser` imports the
 size limits and the ``reproduce`` targets, and each command imports the
 layers it runs, so ``check`` and a scalar ``sample`` never load
 :mod:`.chains` or :mod:`.validation`, and numpy loads only where an engine
@@ -20,7 +21,6 @@ or test needs it.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import Counter
@@ -167,6 +167,8 @@ def _report(
     args, H0: DirectedHypergraph, spec: SpaceSpec, counts, engine: str
 ) -> str:
     """The JSON uniformity report; its verdict names why a test could not run."""
+    import json
+
     from .enumeration import EnumerationLimitError, enumerate_vertex_space
     from .validation import stub_pushforward_weights, uniformity_test
 

@@ -14,11 +14,18 @@ A space fixes a degree sequence and allows or forbids each of three
 features: self-loops (tail equal to head), degenerate arcs (a vertex
 repeated in a tail or head) and multi-arcs (an arc listed twice).  With
 stub or vertex labeling, :class:`SpaceSpec` names one of 16 spaces.
+
+Every record type of the package (the hypergraph, its degree sequence, a
+space, a feature report, and the run, result and report types of the other
+layers) is a :class:`_Record`: its ``__slots__`` list its fields in order,
+and one explicit ``__init__`` checks and stores them.  They are written by
+hand, not by ``dataclasses``, to keep ``import hypershuffle`` cheap: that
+module loads ``inspect`` and ``ast`` and compiles each class's methods
+from source at import time, which costs more than the rest of the import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 from typing import Iterable, Literal, Sequence
 
@@ -39,8 +46,49 @@ class HypergraphError(ValueError):
     """Malformed hypergraph or degree-sequence input."""
 
 
-@dataclass(frozen=True)
-class DirectedHypergraph:
+class _Record:
+    """An immutable value record whose fields are its ``__slots__``, in order.
+
+    Records compare and hash by their field values, and only against the
+    same class; ``repr`` lists the fields as a dataclass's does.  A field can
+    be neither assigned nor deleted, so ``__init__`` stores them all through
+    :meth:`_fill`.  Pickling and copying rebuild the record through its
+    constructor, which checks the values again.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values: object) -> None:
+        """Store ``values`` as the fields, in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class DirectedHypergraph(_Record):
     """A vertex count plus an indexed list of hyperarcs.
 
     Arcs are normalized on construction (tails and heads sorted); the order
@@ -50,23 +98,24 @@ class DirectedHypergraph:
     ``int``); anything else raises :class:`HypergraphError`.
     """
 
-    n_vertices: int
-    arcs: tuple[Hyperarc, ...]
-    labels: tuple[str, ...] | None = None
+    __slots__ = ("n_vertices", "arcs", "labels")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        n_vertices: int,
+        arcs: Iterable[Hyperarc],
+        labels: tuple[str, ...] | None = None,
+    ) -> None:
         try:
-            object.__setattr__(self, "n_vertices", index(self.n_vertices))
+            n_vertices = index(n_vertices)
         except TypeError:
-            raise HypergraphError(
-                f"vertex count {self.n_vertices!r} is not an integer"
-            ) from None
-        if self.n_vertices < 0:
+            raise HypergraphError(f"vertex count {n_vertices!r} is not an integer") from None
+        if n_vertices < 0:
             raise HypergraphError("vertex count must be nonnegative")
-        if self.labels is not None and len(self.labels) != self.n_vertices:
+        if labels is not None and len(labels) != n_vertices:
             raise HypergraphError("label table length must equal n_vertices")
         normalized = []
-        for k, pair in enumerate(self.arcs):
+        for k, pair in enumerate(arcs):
             try:
                 tail, head = pair
                 tail = multiset(map(index, tail))
@@ -78,10 +127,10 @@ class DirectedHypergraph:
             if not tail or not head:
                 raise HypergraphError(f"arc {k} has an empty tail or head")
             for v in tail + head:
-                if not (0 <= v < self.n_vertices):
+                if not (0 <= v < n_vertices):
                     raise HypergraphError(f"arc {k} uses unknown vertex {v}")
             normalized.append((tail, head))
-        object.__setattr__(self, "arcs", tuple(normalized))
+        self._fill(n_vertices, tuple(normalized), labels)
 
     @property
     def n_arcs(self) -> int:
@@ -102,9 +151,7 @@ class DirectedHypergraph:
         range, as a shuffle of this hypergraph's own arcs deals them.
         """
         H = object.__new__(DirectedHypergraph)
-        object.__setattr__(H, "n_vertices", self.n_vertices)
-        object.__setattr__(H, "arcs", arcs)
-        object.__setattr__(H, "labels", self.labels)
+        H._fill(self.n_vertices, arcs, self.labels)
         return H
 
 
@@ -117,8 +164,7 @@ def hypergraph(
     return DirectedHypergraph(n_vertices, arcs, tuple(labels) if labels else None)
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
+class DegreeSequence(_Record):
     """Per-vertex (in, out) pairs plus per-arc (tail size, head size) pairs.
 
     This is the quantity conserved by every double hyperarc shuffle.  Vertex
@@ -128,26 +174,29 @@ class DegreeSequence:
     :class:`DirectedHypergraph`, and is stored as an ``int`` in tuples.
     """
 
-    vertex_degrees: tuple[tuple[int, int], ...]
-    arc_degrees: tuple[tuple[int, int], ...]
+    __slots__ = ("vertex_degrees", "arc_degrees")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        vertex_degrees: Iterable[tuple[int, int]],
+        arc_degrees: Iterable[tuple[int, int]],
+    ) -> None:
         try:
-            for field in ("vertex_degrees", "arc_degrees"):
-                pairs = tuple((index(a), index(b)) for a, b in getattr(self, field))
-                object.__setattr__(self, field, pairs)
+            vertex_degrees = tuple((index(a), index(b)) for a, b in vertex_degrees)
+            arc_degrees = tuple((index(a), index(b)) for a, b in arc_degrees)
         except (TypeError, ValueError):
             raise HypergraphError("degrees and arc sizes must be integers, in pairs") from None
-        if any(d_in < 0 or d_out < 0 for d_in, d_out in self.vertex_degrees):
+        if any(d_in < 0 or d_out < 0 for d_in, d_out in vertex_degrees):
             raise HypergraphError("in- and out-degrees must be nonnegative")
-        out_total = sum(d_out for _, d_out in self.vertex_degrees)
-        in_total = sum(d_in for d_in, _ in self.vertex_degrees)
-        if out_total != sum(t for t, _ in self.arc_degrees):
+        out_total = sum(d_out for _, d_out in vertex_degrees)
+        in_total = sum(d_in for d_in, _ in vertex_degrees)
+        if out_total != sum(t for t, _ in arc_degrees):
             raise HypergraphError("out-stub count does not match total tail size")
-        if in_total != sum(h for _, h in self.arc_degrees):
+        if in_total != sum(h for _, h in arc_degrees):
             raise HypergraphError("in-stub count does not match total head size")
-        if any(t < 1 or h < 1 for t, h in self.arc_degrees):
+        if any(t < 1 or h < 1 for t, h in arc_degrees):
             raise HypergraphError("tail and head sizes must be at least 1")
+        self._fill(vertex_degrees, arc_degrees)
 
     @property
     def n_vertices(self) -> int:
@@ -186,19 +235,27 @@ def degree_sequence(H: DirectedHypergraph) -> DegreeSequence:
 Labeling = Literal["stub", "vertex"]
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
+class SpaceSpec(_Record):
     """Which features a space admits, plus the labeling convention.
 
     The three booleans pick one of the 8 feature classes; ``labeling``
-    doubles that to the 16 spaces.  An arc is a self-loop when its tail
-    equals its head as a multiset (:func:`is_self_loop`).
+    doubles that to the 16 spaces, and any other labeling raises
+    ``ValueError``.  An arc is a self-loop when its tail equals its head as
+    a multiset (:func:`is_self_loop`).
     """
 
-    allow_self_loops: bool
-    allow_degenerate: bool
-    allow_multi: bool
-    labeling: Labeling = "stub"
+    __slots__ = ("allow_self_loops", "allow_degenerate", "allow_multi", "labeling")
+
+    def __init__(
+        self,
+        allow_self_loops: bool,
+        allow_degenerate: bool,
+        allow_multi: bool,
+        labeling: Labeling = "stub",
+    ) -> None:
+        if labeling not in ("stub", "vertex"):
+            raise ValueError(f"labeling must be 'stub' or 'vertex', got {labeling!r}")
+        self._fill(allow_self_loops, allow_degenerate, allow_multi, labeling)
 
     @classmethod
     def from_string(cls, features: str, labeling: Labeling = "stub") -> "SpaceSpec":
@@ -206,8 +263,6 @@ class SpaceSpec:
         extra = set(features) - set("sdm")
         if extra:
             raise ValueError(f"unknown feature letters: {sorted(extra)}")
-        if labeling not in ("stub", "vertex"):
-            raise ValueError(f"labeling must be 'stub' or 'vertex', got {labeling!r}")
         return cls("s" in features, "d" in features, "m" in features, labeling)
 
     @property
@@ -254,13 +309,18 @@ def _arc_ok(a: Hyperarc, spec: SpaceSpec) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class FeatureReport:
+class FeatureReport(_Record):
     """Per-arc feature flags: indices of offending arcs, grouped for multis."""
 
-    self_loops: tuple[int, ...]
-    degenerate: tuple[int, ...]
-    multi_groups: tuple[tuple[int, ...], ...]
+    __slots__ = ("self_loops", "degenerate", "multi_groups")
+
+    def __init__(
+        self,
+        self_loops: tuple[int, ...],
+        degenerate: tuple[int, ...],
+        multi_groups: tuple[tuple[int, ...], ...],
+    ) -> None:
+        self._fill(self_loops, degenerate, multi_groups)
 
     @property
     def has_self_loop(self) -> bool:

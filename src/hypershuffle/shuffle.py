@@ -46,7 +46,6 @@ rounding, and without building a ``Fraction`` per step.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -55,6 +54,7 @@ from .hypergraph import (
     Hyperarc,
     Multiset,
     SpaceSpec,
+    _Record,
     _arc_ok,
     _canonical_bytes,
     _feature_ok,
@@ -360,17 +360,15 @@ def step(
     return H._replace_normalized_arcs(tuple(new_arcs))
 
 
-@dataclass(frozen=True)
-class ChainConfig:
+class ChainConfig(_Record):
     """Run parameters: identical (seed, config, start) give identical runs."""
 
-    steps: int
-    seed: int
-    spec: SpaceSpec
-    record_trace: bool = False
+    __slots__ = ("steps", "seed", "spec", "record_trace")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", _count("steps", self.steps))
+    def __init__(
+        self, steps: int, seed: int, spec: SpaceSpec, record_trace: bool = False
+    ) -> None:
+        self._fill(_count("steps", steps), seed, spec, record_trace)
 
 
 def _count(name: str, count) -> int:
@@ -389,10 +387,11 @@ def _count(name: str, count) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class ChainResult:
-    final: DirectedHypergraph
-    trace: tuple[bytes, ...] | None
+class ChainResult(_Record):
+    __slots__ = ("final", "trace")
+
+    def __init__(self, final: DirectedHypergraph, trace: tuple[bytes, ...] | None) -> None:
+        self._fill(final, trace)
 
 
 def run_chain(H0: DirectedHypergraph, config: ChainConfig) -> ChainResult:

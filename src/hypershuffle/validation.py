@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 
 from .enumeration import count_stub_realizations, enumerate_vertex_space
-from .hypergraph import DegreeSequence, DirectedHypergraph, SpaceSpec, canonical_form
+from .hypergraph import DegreeSequence, DirectedHypergraph, SpaceSpec, _Record, canonical_form
 
 PASS_P = 0.01
 FAIL_P = 1e-4
@@ -29,14 +28,19 @@ class SampleOutsideSpaceError(AssertionError):
     """A sample fell outside the enumerated space: that is a kernel bug."""
 
 
-@dataclass
-class UniformityReport:
-    statistic: float
-    p_value: float
-    dof: int
-    histogram: dict[str, int]
-    pooled_cells: int
-    verdict: str
+class UniformityReport(_Record):
+    __slots__ = ("statistic", "p_value", "dof", "histogram", "pooled_cells", "verdict")
+
+    def __init__(
+        self,
+        statistic: float,
+        p_value: float,
+        dof: int,
+        histogram: dict[str, int],
+        pooled_cells: int,
+        verdict: str,
+    ) -> None:
+        self._fill(statistic, p_value, dof, histogram, pooled_cells, verdict)
 
     def to_json(self, **context) -> str:
         payload = dict(context)
@@ -127,17 +131,22 @@ def uniformity_test(
 # Bipartite incidence mapping
 
 
-@dataclass(frozen=True)
-class BipartiteIncidence:
+class BipartiteIncidence(_Record):
     """One side of the incidence picture: vertex nodes joined to arc nodes.
 
     ``arcs`` maps (vertex_node, arc_node) to a multiplicity; a multiplicity
     of 2 or more is a multi-arc in the bipartite digraph.
     """
 
-    vertex_nodes: tuple[str, ...]
-    arc_nodes: tuple[str, ...]
-    arcs: tuple[tuple[tuple[str, str], int], ...]
+    __slots__ = ("vertex_nodes", "arc_nodes", "arcs")
+
+    def __init__(
+        self,
+        vertex_nodes: tuple[str, ...],
+        arc_nodes: tuple[str, ...],
+        arcs: tuple[tuple[tuple[str, str], int], ...],
+    ) -> None:
+        self._fill(vertex_nodes, arc_nodes, arcs)
 
     @property
     def has_multi_arc(self) -> bool:

@@ -1,6 +1,5 @@
 """Core data model: degrees, features, membership, canonical forms."""
 
-import dataclasses
 import random
 from itertools import combinations_with_replacement
 
@@ -200,7 +199,7 @@ class TestInSpace:
     def test_spec_spans_exactly_the_sixteen_spaces(self):
         # Three feature flags and a labeling: nothing else can tell two
         # specs apart, and each of the 16 prints differently.
-        fields = [f.name for f in dataclasses.fields(SpaceSpec)]
+        fields = list(SpaceSpec.__slots__)
         assert fields == ["allow_self_loops", "allow_degenerate", "allow_multi", "labeling"]
         specs = {
             SpaceSpec.from_string(features, labeling)
@@ -209,6 +208,13 @@ class TestInSpace:
         }
         assert len(specs) == 16
         assert len({str(spec) for spec in specs}) == 16
+
+    @pytest.mark.parametrize("labeling", ["Vertex", "stubs", "", None])
+    def test_spec_refuses_an_unknown_labeling(self, labeling):
+        with pytest.raises(ValueError, match="labeling must be 'stub' or 'vertex'"):
+            SpaceSpec(True, True, True, labeling)
+        with pytest.raises(ValueError, match="labeling must be 'stub' or 'vertex'"):
+            SpaceSpec.from_string("sdm", labeling)
 
     def test_sixteen_spaces(self):
         specs = {

@@ -1,10 +1,11 @@
 """Imports: each layer, and numpy and scipy, load only when first used.
 
 The subprocess tests run fresh interpreters, since the test process itself
-has numpy, scipy and every layer loaded.  The public names resolve through
-one table in ``__init__``.  The chi-square tests pin ``uniformity_test``
-to ``scipy.stats.chisquare``, bit for bit.  No module imports a name it
-never uses.
+has numpy, scipy and every layer loaded; they also check that the light
+commands never load ``dataclasses``, ``inspect`` or ``json``.  The public
+names resolve through one table in ``__init__``.  The chi-square tests pin
+``uniformity_test`` to ``scipy.stats.chisquare``, bit for bit.  No module
+imports a name it never uses.
 """
 
 import ast
@@ -135,6 +136,35 @@ def test_check_and_enumerate_load_neither_numpy_nor_scipy(tmp_path):
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "42300"
+
+
+def test_commands_load_neither_dataclasses_nor_inspect_nor_json(tmp_path):
+    # The records are written out by hand and only ``--report`` writes JSON,
+    # so no light command pays for these modules' import time.
+    worked, blocked = tmp_path / "worked.dhg", tmp_path / "blocked.dhg"
+    worked.write_text(serialize_dhg(WORKED_EXAMPLE))
+    blocked.write_text(serialize_dhg(D1_BLOCKED))
+    runs = [
+        (["check", "--input", str(worked)], 0),
+        (["enumerate", "--input", str(worked)], 0),
+        (["chain-verify", "--input", str(blocked), "--space", "sd"], 1),
+        (["sample", "--input", str(blocked), "--space", "sd", "--samples", "3",
+          "--out", str(tmp_path / "s.dhg")], 0),
+    ]
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "def loaded():\n"
+        "    return sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before))\n"
+        "import hypershuffle, hypershuffle.cli\n"
+        "assert loaded() == [], ('import', loaded())\n"
+        f"for argv, status in {runs!r}:\n"
+        "    assert hypershuffle.cli.main(argv) == status, argv\n"
+        "    assert loaded() == [], (argv[0], loaded())\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "s.dhg").read_text().count("# sample ") == 3
 
 
 def test_report_without_a_test_loads_neither_numpy_nor_scipy(tmp_path):
