@@ -424,35 +424,49 @@ def build_vertex_chain_lumped(
     states, then merge states with equal vertex projections.  Merging is
     only sound if every stub state of a class produces the same collapsed
     row; that is asserted exactly, and the result is comparable entry by
-    entry with :func:`build_vertex_chain`.
+    entry with :func:`build_vertex_chain`.  ``limit`` caps the stub states
+    enumerated, not the classes the chain keeps.
+
+    A row is built once per slot order, the projection of a stub state in
+    its own arc order.  :func:`_stub_outcomes` sees a state only through
+    it: :func:`_memo_splits` sorts a pool by vertex first and
+    :func:`_parts` deals by position, so the projected parts, and the
+    order they come in, follow from the slot order alone.  Stub states
+    sharing one therefore share the row, entries and their order alike;
+    the assertion compares the different slot orders of each class.
     """
     spec = _as_vertex(spec)
     stub_states = enumerate_stub_space(d, spec)
     if len(stub_states) > limit:
-        raise StateSpaceLimitError(f"{len(stub_states)} states exceed the cap {limit}")
+        raise StateSpaceLimitError(
+            f"{len(stub_states)} stub states exceed the cap {limit}"
+        )
 
     n = d.n_vertices
-    projections = [tuple(sorted(map(_project, s))) for s in stub_states]
+    # Alpha reads arcs i and j by position, so each row gets the projection
+    # in the stub state's arc order; the class is its sorted arcs.
+    slot_orders = [tuple(map(_project, s)) for s in stub_states]
+    projections = [tuple(sorted(order)) for order in slot_orders]
     classes = sorted(set(projections), key=lambda arcs: _canonical_bytes(n, arcs))
     class_of = {arcs: k for k, arcs in enumerate(classes)}
     verdicts: dict[ProjectedState, bool] = {}
 
     lumped_rows: dict[int, IntRow] = {}
+    order_rows: dict[ProjectedState, IntRow] = {}
     splits: dict[tuple, list[Split]] = {}
     denominator = 2 * factorial(d.n_arcs) * _stub_denominator(d)
-    for state, arcs in zip(stub_states, projections):
+    for state, order, arcs in zip(stub_states, slot_orders, projections):
         src = class_of[arcs]
-        # Alpha reads arcs i and j by position, so it gets the projection in
-        # the stub state's arc order, not the class's sorted arcs.
-        projected = [_project(a) for a in state]
-        moves = _class_moves(
-            projected, _stub_outcomes(state, splits), class_of, spec, verdicts
-        )
-        row = _thinned_row(src, projected, moves, denominator)
-        if src in lumped_rows and lumped_rows[src] != row:
-            raise AssertionError(
-                "stub states of one class produced different collapsed rows"
+        row = order_rows.get(order)
+        if row is None:
+            moves = _class_moves(
+                order, _stub_outcomes(state, splits), class_of, spec, verdicts
             )
+            row = order_rows[order] = _thinned_row(src, order, moves, denominator)
+            if src in lumped_rows and lumped_rows[src] != row:
+                raise AssertionError(
+                    "stub states of one class produced different collapsed rows"
+                )
         lumped_rows[src] = row
 
     states = [DirectedHypergraph(n, arcs) for arcs in classes]
@@ -645,6 +659,8 @@ def tv_curve(g: ChainGraph, start: int, steps: int) -> list[float]:
     n = g.n_states
     if not 0 <= start < n:
         raise ValueError(f"start state {start} is not one of the chain's {n} states")
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
     P = g.to_dense()
     x = np.zeros(n)
     x[start] = 1.0

@@ -207,9 +207,20 @@ def find_digraph_disconnection(
     ``n_states`` counts the stub states of the instance found.  Relabeling
     vertices preserves connectivity, so a sequence whose sorted ``(in,
     out)`` pairs match one already decided is skipped: the first
-    disconnected sequence in sweep order is the first of its orbit.  Past
-    8 arcs the instances exceed :func:`enumerate_vertex_space`'s stub
-    guard, which raises ``EnumerationLimitError``.
+    disconnected sequence in sweep order is the first of its orbit.  Two
+    more symmetries settle sequences without a search:
+
+    - a ``(0, 0)`` vertex is in no arc, and dropping it leaves a sequence
+      swept at ``n - 1``; at ``n = 2`` what is left is one vertex whose
+      arcs are all self-loops, an empty space;
+    - reversing every arc maps states and shuffles one to one, and keeps
+      self-loops and multi-arcs, so deciding an orbit decides its
+      reversal, each vertex's ``(in, out)`` swapped.
+
+    A skipped sequence is disconnected only when one swept before it is,
+    so the first disconnected sequence found is unchanged.
+    Past 8 arcs the instances exceed :func:`enumerate_vertex_space`'s
+    stub guard, which raises ``EnumerationLimitError``.
     """
     from .chains import class_components
 
@@ -223,9 +234,10 @@ def find_digraph_disconnection(
                 for out_deg in _degree_vectors(n, k):
                     vertex_degrees = tuple(zip(in_deg, out_deg))
                     orbit = tuple(sorted(vertex_degrees))
-                    if orbit in decided:
+                    if orbit in decided or (0, 0) in orbit:
                         continue
                     decided.add(orbit)
+                    decided.add(tuple(sorted((o, i) for i, o in orbit)))
                     d = DegreeSequence(
                         vertex_degrees=vertex_degrees, arc_degrees=((1, 1),) * k
                     )

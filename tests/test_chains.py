@@ -36,6 +36,7 @@ from hypershuffle.chains import (
 )
 from hypershuffle.enumeration import (
     _allowed,
+    _project,
     count_stub_realizations,
     stub_state_to_hypergraph,
 )
@@ -94,6 +95,15 @@ class TestStubChainConstruction:
     def test_state_space_guard(self):
         with pytest.raises(StateSpaceLimitError):
             build_stub_chain(FIG_DEGREES, SDM, limit=10)
+
+    def test_lumped_guard_counts_stub_states(self):
+        # The direct route keeps its 11 classes under a cap of 11; the
+        # lumped route enumerates 36 stub states first, and says so.
+        spec = SpaceSpec.from_string("sdm", "vertex")
+        assert build_vertex_chain(FIG_DEGREES, spec, limit=11).n_states == 11
+        message = "^36 stub states exceed the cap 11$"
+        with pytest.raises(StateSpaceLimitError, match=message):
+            build_vertex_chain_lumped(FIG_DEGREES, spec, limit=11)
 
 
 class TestChainProperties:
@@ -326,6 +336,12 @@ class TestStationary:
         with pytest.raises(ValueError, match="not one of the chain's 2 states"):
             tv_curve(g, start, 5)
 
+    def test_tv_curve_rejects_negative_steps(self):
+        g = build_stub_chain(TWO_ARC_D, SDM)
+        assert tv_curve(g, 0, 0) == [0.5]
+        with pytest.raises(ValueError, match="steps must be nonnegative, got -1"):
+            tv_curve(g, 0, -1)
+
     def test_tv_curve_decays_on_connected_chain(self):
         g = build_stub_chain(FIG_DEGREES, SDM)
         curve = tv_curve(g, 0, 200)
@@ -366,6 +382,47 @@ class TestVertexRoutes:
         lumped = build_vertex_chain_lumped(d, spec)
         assert direct.keys == lumped.keys
         assert direct.rows == lumped.rows
+
+    def test_lumped_builds_one_row_per_slot_order(self, monkeypatch):
+        # The worked example's 36 stub states have 15 slot orders, the
+        # vertex projections in arc order; each gets one listing of moves.
+        spec = SpaceSpec.from_string("sdm", "vertex")
+        stub_states = enumerate_stub_space(FIG_DEGREES, spec)
+        orders = {tuple(map(_project, s)) for s in stub_states}
+        assert (len(stub_states), len(orders)) == (36, 15)
+        listed = []
+        stub_outcomes = chains._stub_outcomes
+
+        def counted(state, splits):
+            listed.append(tuple(map(_project, state)))
+            return stub_outcomes(state, splits)
+
+        monkeypatch.setattr(chains, "_stub_outcomes", counted)
+        lumped = build_vertex_chain_lumped(FIG_DEGREES, spec)
+        assert len(listed) == 15 and set(listed) == orders
+        assert lumped.rows == build_vertex_chain(FIG_DEGREES, spec).rows
+
+    def test_lumped_rows_of_one_class_must_agree(self, monkeypatch):
+        # Perturb the row of one slot order of a class that has several:
+        # the class's other slot orders no longer agree with it.
+        spec = SpaceSpec.from_string("sdm", "vertex")
+        orders = {}
+        for s in enumerate_stub_space(FIG_DEGREES, spec):
+            order = tuple(map(_project, s))
+            orders.setdefault(order, tuple(sorted(order)))
+        per_class = Counter(orders.values())
+        perturbed = next(o for o, arcs in orders.items() if per_class[arcs] > 1)
+        thinned_row = chains._thinned_row
+
+        def perturb(src, arcs, moves, denominator):
+            row = thinned_row(src, arcs, moves, denominator)
+            if tuple(arcs) == perturbed:
+                row[src] += 1
+            return row
+
+        monkeypatch.setattr(chains, "_thinned_row", perturb)
+        with pytest.raises(AssertionError, match="produced different collapsed rows"):
+            build_vertex_chain_lumped(FIG_DEGREES, spec)
 
     def test_naive_alpha_breaks_uniformity_on_multi_instance(self):
         # Applying the two-distinct-arcs formula to identical selections

@@ -3,6 +3,7 @@
 import json
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -29,6 +30,11 @@ from hypershuffle.validation import (
 from conftest import FIG_DEGREES, WORKED_EXAMPLE, random_instance
 
 SDM = SpaceSpec.from_string("sdm")
+
+
+def reversed_orbit(orbit):
+    """The sorted ``(in, out)`` pairs once every arc is reversed."""
+    return tuple(sorted((o, i) for i, o in orbit))
 
 
 class TestUniformityTest:
@@ -146,7 +152,8 @@ THREE_CYCLES = {
 class TestDigraphSearch:
     @pytest.mark.parametrize("features", ["", "d", "m", "dm"])
     def test_pinned_results(self, monkeypatch, features):
-        # One sequence per orbit of vertex relabelings is decided.
+        # One sequence per orbit of vertex relabelings and arc reversal is
+        # decided, and none with an isolated vertex.
         decided = []
 
         def counted(d, spec):
@@ -155,7 +162,9 @@ class TestDigraphSearch:
 
         monkeypatch.setattr(hypershuffle.chains, "class_components", counted)
         assert find_digraph_disconnection(features) == THREE_CYCLES
-        assert len(decided) == len(set(decided)) == 53
+        assert len(decided) == len(set(decided)) == 25
+        assert not any((0, 0) in orbit for orbit in decided)
+        assert all(reversed_orbit(a) != b for a, b in combinations(decided, 2))
 
     def test_builds_no_chain_and_enumerates_no_stub_state(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -168,19 +177,29 @@ class TestDigraphSearch:
 
     @pytest.mark.parametrize("features", ["", "dm"])
     def test_relabeled_sequences_have_the_same_components(self, features):
-        # What the search's skip relies on, over every sequence it sweeps
-        # up to three vertices and three arcs.
+        # What the search's skips rely on, over every sequence it sweeps
+        # up to three vertices and three arcs: relabeling vertices,
+        # reversing every arc and adding an isolated vertex keep the
+        # number of components.
         spec = SpaceSpec.from_string(features)
         components, members = {}, Counter()
+
+        def count(vertex_degrees, k):
+            d = DegreeSequence(vertex_degrees, ((1, 1),) * k)
+            return len(class_components(d, spec)[1])
+
         for n in (2, 3):
             for k in (2, 3):
                 for in_deg in _degree_vectors(n, k):
                     for out_deg in _degree_vectors(n, k):
-                        d = DegreeSequence(tuple(zip(in_deg, out_deg)), ((1, 1),) * k)
-                        count = len(class_components(d, spec)[1])
-                        orbit = tuple(sorted(d.vertex_degrees))
-                        assert components.setdefault(orbit, count) == count
+                        vertex_degrees = tuple(zip(in_deg, out_deg))
+                        found = count(vertex_degrees, k)
+                        orbit = tuple(sorted(vertex_degrees))
+                        assert components.setdefault(orbit, found) == found
                         members[orbit] += 1
+                        reversed_degrees = tuple(zip(out_deg, in_deg))
+                        assert count(reversed_degrees, k) == found
+                        assert count(vertex_degrees + ((0, 0),), k) == found
         assert components[((1, 1),) * 3] == 2
         assert members[((1, 1),) * 3] == 1 and max(members.values()) == 6
 
